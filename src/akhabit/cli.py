@@ -33,6 +33,7 @@ from . import dde, oracle, simulate
 from .errors import (
     AkHabitError,
     ConstraintError,
+    DomainError,
     OptimalityViolation,
     ScenarioError,
 )
@@ -215,7 +216,20 @@ def load_scenario(path) -> Scenario:
     if iblock:
         raise ScenarioError(f"unknown keys in initial block: {sorted(iblock)}")
     initial = InitialState(k0=k0, history=history)
-    return Scenario(params=params, initial=initial, numerics=numerics)
+    scn = Scenario(params=params, initial=initial, numerics=numerics)
+    if not scn.horizon >= params.tau:
+        raise ScenarioError(
+            f"horizon {scn.horizon:g} must be at least one memory length tau = {params.tau:g}"
+        )
+    if numerics.oracle:
+        try:
+            oracle.grid_cells(params.tau, scn.oracle_horizon, numerics.oracle_m)
+        except DomainError as exc:
+            raise ScenarioError(
+                f"oracle grid (oracle_horizon {scn.oracle_horizon:g}, oracle_m "
+                f"{numerics.oracle_m}): {exc}"
+            ) from exc
+    return scn
 
 
 # -- pipeline -----------------------------------------------------------------
@@ -444,6 +458,8 @@ def _oracle_section(scn: Scenario, checks: list, seed: int) -> dict:
     gap = abs(res.J - J_cl) / abs(J_cl)
     section["ascent_J"] = res.J
     section["ascent_iterations"] = res.iterations
+    section["ascent_projections"] = res.projections
+    section["ascent_backtracks"] = res.backtracks
     section["ascent_gap"] = gap
     checks.append(Check("ascent", gap, num.tol("ascent"), gap <= num.tol("ascent")))
     return section

@@ -14,12 +14,14 @@ value at the terminal state (along the optimum the discounted value is a
 martingale, so salvage makes the truncation exact up to quadrature).
 
 Everything here is deliberately independent of the closed-loop machinery:
-utilities are summed directly from the control vector, gradients are
-finite differences of J (computed incrementally, which is exact for this
-objective since a one-coordinate bump touches one habit window, the
-terminal state, and nothing else), and the maximizer is a spectral
-projected gradient ascent.  Agreement of max J with the closed-form value
-is then evidence, not circularity.
+utilities are summed directly from the control vector, and the maximizer
+is a spectral projected gradient ascent driven by the exact discrete
+adjoint gradient of J.  The excess and the terminal aggregate are affine
+in the controls, so that gradient is one correlation of the weighted
+marginal utilities against the habit kernel plus the salvage's terminal
+sensitivity; it is derived from J alone (and tested against finite
+differences of J), never from the closed-form policy.  Agreement
+of max J with the closed-form value is then evidence, not circularity.
 """
 
 from __future__ import annotations
@@ -43,6 +45,28 @@ def _u(excess, gamma):
         return excess ** (1.0 - gamma) / (1.0 - gamma)
 
 
+def grid_cells(tau: float, T: float, m: int) -> int:
+    """Grid cells per memory length on ``m`` steps over [0, T].
+
+    Raises DomainError unless the step T/m divides tau and T exceeds tau.
+    """
+    if not T > tau:
+        raise DomainError(
+            f"horizon T = {T:.6g} must exceed one memory length tau = {tau:.6g}",
+            code="domain:grid",
+        )
+    dt = T / m
+    n_tau = tau / dt
+    if abs(n_tau - round(n_tau)) > 1e-9:
+        raise DomainError(
+            f"grid step T/m = {dt:.6g} must divide tau = {tau:.6g}", code="domain:grid"
+        )
+    n_tau = int(round(n_tau))
+    if m <= n_tau:
+        raise DomainError("horizon must exceed one memory length", code="domain:grid")
+    return n_tau
+
+
 class DiscreteProblem:
     """Grid, kernels, and cached weights for the discrete objective.
 
@@ -53,15 +77,7 @@ class DiscreteProblem:
     def __init__(self, params: ModelParams, init: InitialState, T: float, m: int):
         der = validate(params)
         dt = T / m
-        n_tau = params.tau / dt
-        if abs(n_tau - round(n_tau)) > 1e-9:
-            raise DomainError(
-                f"grid step T/m = {dt:.6g} must divide tau = {params.tau:.6g}",
-                code="domain:grid",
-            )
-        n_tau = int(round(n_tau))
-        if m <= n_tau:
-            raise DomainError("horizon must exceed one memory length", code="domain:grid")
+        n_tau = grid_cells(params.tau, T, m)
 
         self.params = params
         self.derived = der
@@ -183,7 +199,75 @@ def evaluate_objective(problem: DiscreteProblem, controls: np.ndarray) -> float:
     return objective_breakdown(problem, controls).J
 
 
-# -- finite-difference gradient ---------------------------------------------
+# -- gradients -----------------------------------------------------------------
+
+
+def _default_fdh(controls: np.ndarray) -> float:
+    return 1e-6 * max(1.0, float(np.mean(np.abs(controls))))
+
+
+def _excess_patterns(problem: DiscreteProblem) -> tuple[np.ndarray, np.ndarray]:
+    """d excess[i+l] / d c_i for l = 0..n_tau: generic node, and node 0.
+
+    Coordinate 0 sits at the history/control breakpoint: it has halved
+    influence on later habits and none on h_0.
+    """
+    p_generic = -problem.kerw[::-1]  # dh_{i+l}/dc_i = kerw[n_tau - l] for i >= 1
+    p_generic[0] += 1.0
+    sens0 = 0.5 * problem.kbase[::-1]
+    sens0[0] = 0.0
+    p0 = -sens0
+    p0[0] += 1.0
+    return p_generic, p0
+
+
+def _terminal_sensitivity(problem: DiscreteProblem) -> np.ndarray:
+    """dG_T/dc_i through k_T, h_T and the terminal window (constant in c)."""
+    m = problem.m
+    dk_T = -problem.dt * problem.wt * np.exp(problem.params.r * (problem.T - problem.t))
+    tail = np.arange(m - problem.n_tau, m + 1)
+    dh_T = np.zeros(m + 1)
+    dh_T[tail] = problem.kerw[tail - (m - problem.n_tau)]  # dh_m/dc_i = kerw[n_tau-(m-i)]
+    dW_T = np.zeros(m + 1)
+    dW_T[tail] = problem.wker
+    return problem.derived.kappa0 * dk_T - dh_T / problem.b + problem.q * dW_T
+
+
+def _feasible_parts(problem: DiscreteProblem, controls: np.ndarray, who: str):
+    """Clipped excess and terminal aggregate G_T of a feasible control."""
+    base = objective_breakdown(problem, controls)
+    if not math.isfinite(base.J):
+        raise ValueError(f"{who} needs a feasible base control")
+    G_T = problem.terminal_aggregate(controls, float(base.capital[-1]), float(base.habit[-1]))
+    return np.maximum(base.excess, 0.0), G_T
+
+
+def gradient(problem: DiscreteProblem, controls: np.ndarray) -> np.ndarray:
+    """Exact gradient of J, the discrete adjoint of the forward pass.
+
+    With a_j = dt w_j exp(-rho t_j) u'(excess_j), the running part is
+    sum_l a_{i+l} d excess_{i+l}/d c_i: one correlation of a against the
+    generic excess pattern, with node 0's halved-influence row done
+    separately.  The salvage adds salvage'(G_T) dG_T/dc_i.  For gamma < 1
+    a node at zero excess has u' = inf while u(0) is finite; there the
+    one-sided secant slope u(fdh)/fdh (fdh as in fd_gradient) is used.
+    """
+    controls = np.asarray(controls, dtype=float)
+    gamma = problem.params.gamma
+    exc, G_T = _feasible_parts(problem, controls, "gradient")
+    with np.errstate(divide="ignore"):
+        du = exc**-gamma
+    zero = exc == 0.0
+    if np.any(zero):
+        fdh = _default_fdh(controls)
+        du[zero] = _u(fdh, gamma) / fdh
+    a = problem.dt * problem.wt * problem.disc_rho * du
+    p_generic, p0 = _excess_patterns(problem)
+    L = problem.n_tau + 1
+    g = np.correlate(np.concatenate([a, np.zeros(L - 1)]), p_generic, mode="valid")
+    g[0] = float(a[:L] @ p0)
+    d_salvage = problem.disc_rho[-1] * problem.derived.nu * (1.0 - gamma) * G_T**-gamma
+    return g + d_salvage * _terminal_sensitivity(problem)
 
 
 def fd_gradient(problem: DiscreteProblem, controls: np.ndarray, fdh: float | None = None) -> np.ndarray:
@@ -193,18 +277,14 @@ def fd_gradient(problem: DiscreteProblem, controls: np.ndarray, fdh: float | Non
     window [t_i, t_i + tau], the terminal capital, and (for the last
     window) the terminal aggregate, so each difference is an O(tau/dt)
     re-sum rather than a full re-evaluation.  Matches the naive version
-    to rounding.
+    to rounding.  Reference for ``gradient``.
     """
     controls = np.asarray(controls, dtype=float)
     m, L = problem.m, problem.n_tau + 1
     gamma = problem.params.gamma
     if fdh is None:
-        fdh = 1e-6 * max(1.0, float(np.mean(np.abs(controls))))
-
-    base = objective_breakdown(problem, controls)
-    if not math.isfinite(base.J):
-        raise ValueError("fd_gradient needs a feasible base control")
-    exc = np.maximum(base.excess, 0.0)
+        fdh = _default_fdh(controls)
+    exc, G_T = _feasible_parts(problem, controls, "fd_gradient")
 
     # window matrices, padded past T with weight zero (pad value is benign)
     pad_exc = np.concatenate([exc, np.ones(L - 1)])
@@ -213,34 +293,15 @@ def fd_gradient(problem: DiscreteProblem, controls: np.ndarray, fdh: float | Non
     E = np.lib.stride_tricks.sliding_window_view(pad_exc, L)
     Wm = np.lib.stride_tricks.sliding_window_view(pad_wts, L)
 
-    # excess perturbation pattern: delta_exc[i+l] = fdh*(1{l=0} - dh[i+l]/dc_i)
-    sens = problem.kerw[::-1].copy()  # generic dh_{i+l}/dc_i for i >= 1
-    p_generic = -sens
-    p_generic[0] += 1.0
-    # coordinate 0 sits at the history/control breakpoint: halved influence,
-    # none on h_0
-    sens0 = 0.5 * problem.kbase[::-1]
-    sens0[0] = 0.0
-    p0 = -sens0
-    p0[0] += 1.0
+    # excess perturbation pattern: delta_exc[i+l] = fdh * P[i, l]
+    p_generic, p0 = _excess_patterns(problem)
     P = np.broadcast_to(p_generic, (m + 1, L)).copy()
     P[0] = p0
 
     dU = (_u(E + fdh * P, gamma) - _u(E, gamma)) * Wm
     d_running = dU.sum(axis=1)
 
-    # salvage sensitivity through k_T, h_T, and the terminal window
-    dk_T = -problem.dt * problem.wt * np.exp(problem.params.r * (problem.T - problem.t))
-    tail = np.arange(m - problem.n_tau, m + 1)
-    dh_T = np.zeros(m + 1)
-    dh_T[tail] = problem.kerw[tail - (m - problem.n_tau)]  # dh_m/dc_i = kerw[n_tau-(m-i)]
-    dW_T = np.zeros(m + 1)
-    dW_T[tail] = problem.wker
-    dG = problem.derived.kappa0 * dk_T - dh_T / problem.b + problem.q * dW_T
-
-    k_T = float(base.capital[-1])
-    h_T = float(base.habit[-1])
-    G_T = problem.terminal_aggregate(controls, k_T, h_T)
+    dG = _terminal_sensitivity(problem)
     d_salv = problem.disc_rho[-1] * problem.derived.nu * (
         (G_T + fdh * dG) ** (1.0 - gamma) - G_T ** (1.0 - gamma)
     )
@@ -251,7 +312,7 @@ def fd_gradient_naive(problem: DiscreteProblem, controls: np.ndarray, fdh: float
     """Literal one-coordinate-at-a-time forward differences (test reference)."""
     controls = np.asarray(controls, dtype=float)
     if fdh is None:
-        fdh = 1e-6 * max(1.0, float(np.mean(np.abs(controls))))
+        fdh = _default_fdh(controls)
     J0 = evaluate_objective(problem, controls)
     out = np.empty(problem.m + 1)
     for i in range(problem.m + 1):
@@ -273,18 +334,38 @@ def project_feasible(problem: DiscreteProblem, controls: np.ndarray) -> np.ndarr
     later sweeps steps see; one pass restores feasibility of the habit
     constraint.  (Capital positivity is left to the objective's penalty
     or sentinel.)
+
+    Fast path: one vectorized habit evaluation finds the first node whose
+    slack c - h is not above a margin; the nodes before it keep their
+    values in the sweep, which therefore starts there.  The margin exceeds
+    the rounding gap between the correlation and the per-node dot
+    products, so the result is bitwise that of the full sweep.
     """
-    c = np.maximum(np.asarray(controls, dtype=float).copy(), 0.0)
+    c = np.maximum(np.asarray(controls, dtype=float), 0.0)
     hv = problem.init.history.values
     n_tau = problem.n_tau
+    # both routes sum n_tau + 3 terms whose magnitudes add up to at most
+    # about scale (eps <= eta keeps the kernel mass below 1), so each is
+    # within (n_tau + 3) * eps * scale of the exact habit
+    scale = max(1.0, float(np.max(c)), float(np.max(np.abs(hv))))
+    margin = max(1e-12, 16 * (n_tau + 3) * np.finfo(float).eps) * scale
+    tight = np.flatnonzero(c - problem.habit(c) <= margin)
+    if tight.size == 0:
+        return c
+    start = int(tight[0])
+
     kerw = problem.kerw
     self_w = kerw[-1]  # eps*dt/2, the weight of c_i in its own habit window
-    # shared t = 0 slot as in habit(); c_i lives at cc[n_tau + i]
-    cc = np.concatenate([hv[:-1], [problem.hist_end], np.zeros(problem.m)])
-    c0_floor = float(kerw @ hv)  # h_0 is the pure history window, no self term
-    c[0] = max(c[0], c0_floor)
-    cc[n_tau] += c[0]
-    for i in range(1, problem.m + 1):
+    # shared t = 0 slot as in habit(); c_i lives at cc[n_tau + i], and the
+    # slots from the current node on still hold 0
+    if start == 0:
+        c0_floor = float(kerw @ hv)  # h_0 is the pure history window, no self term
+        c[0] = max(c[0], c0_floor)
+        start = 1
+    cc = np.concatenate(
+        [hv[:-1], [problem.hist_end + c[0]], c[1:start], np.zeros(problem.m + 1 - start)]
+    )
+    for i in range(start, problem.m + 1):
         known = float(kerw @ cc[i : i + n_tau + 1])
         known -= problem._vH[i] * problem.hist_end + problem._vC[i] * c[0]
         # cc slot of c_i still holds 0, so: c_i >= known + self_w * c_i
@@ -385,6 +466,8 @@ class AscentResult:
     J: float
     iterations: int
     converged: bool
+    projections: int  # project_feasible calls, the start's included
+    backtracks: int  # step halvings in the line search
 
 
 def projected_ascent(
@@ -395,19 +478,23 @@ def projected_ascent(
 ) -> AscentResult:
     """Spectral projected gradient ascent on the discrete objective.
 
-    Finite-difference gradients, preconditioned by the quadrature weight
-    dt * w * exp(-rho t) (so a unit step means a unit move of the
-    underlying consumption function), spectral step lengths, and a
-    nonmonotone backtracking line search.  Stops early when the best
-    value stalls; if ``target_value`` is given and unmet at a stall,
-    raises NonConvergence.
+    Exact adjoint gradients (``gradient``), preconditioned by the
+    quadrature weight dt * w * exp(-rho t) (so a unit step means a unit
+    move of the underlying consumption function), spectral step lengths
+    measured in the same metric, s.(precond s) / (-s.y), and a
+    nonmonotone backtracking line search.  The gradient is that of the
+    discrete J itself and owes nothing to the closed-loop policy, so
+    reaching the closed-loop value stays an independent check.  Stops
+    early when the best value stalls; if ``target_value`` is given and
+    unmet at a stall, raises NonConvergence.
     """
     c = project_feasible(problem, np.asarray(start_controls, dtype=float))
+    projections, backtracks = 1, 0
     J = evaluate_objective(problem, c)
     if not math.isfinite(J):
         raise ValueError("projected_ascent needs a feasible start")
     precond = problem.dt * problem.wt * problem.disc_rho
-    g = fd_gradient(problem, c)
+    g = gradient(problem, c)
     step = 1.0 / max(float(np.max(np.abs(g / precond))), 1e-12)
     best_c, best_J = c.copy(), J
     recent = [J]
@@ -419,19 +506,21 @@ def projected_ascent(
         accepted = False
         for _ in range(40):
             cand = project_feasible(problem, c + step * direction)
+            projections += 1
             J_cand = evaluate_objective(problem, cand)
             if J_cand >= ref - 1e-12 * abs(ref):
                 accepted = True
                 break
             step *= 0.5
+            backtracks += 1
         if not accepted:
             break
-        g_new = fd_gradient(problem, cand)
+        g_new = gradient(problem, cand)
         s = cand - c
         y = g_new - g
         sy = -float(s @ y)  # positive curvature for a concave objective
-        ss = float(s @ s)
-        step = ss / sy if sy > 1e-300 else step * 2.0
+        sps = float(s @ (precond * s))
+        step = sps / sy if sy > 1e-300 else step * 2.0
         c, J, g = cand, J_cand, g_new
         recent.append(J)
         if len(recent) > 10:
@@ -451,4 +540,11 @@ def projected_ascent(
             f"ascent stalled at J={best_J:.9g} after {it} iterations, "
             f"short of the target {target_value:.9g}"
         )
-    return AscentResult(controls=best_c, J=best_J, iterations=it, converged=converged)
+    return AscentResult(
+        controls=best_c,
+        J=best_J,
+        iterations=it,
+        converged=converged,
+        projections=projections,
+        backtracks=backtracks,
+    )

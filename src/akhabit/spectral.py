@@ -195,6 +195,7 @@ def count_zeros(
     accumulated phase increments.  The discretization is doubled up to
     three times if the winding fails to be integral within 1e-3.
     """
+    winding = math.nan  # stays nan if every attempt hits an exact zero
     for attempt in range(4):
         n = points * 2**attempt
         side = np.linspace(0.0, 1.0, n, endpoint=False)

@@ -170,6 +170,28 @@ class TestRun:
         path.write_text("params: [not, a, mapping")
         assert run(path, tmp_path / "out") == 3
 
+    @pytest.mark.parametrize(
+        "oracle_numerics", [{"oracle_m": 1999}, {"oracle_horizon": 1.0, "oracle_m": 200}]
+    )
+    def test_bad_oracle_grid_is_exit_3(self, tmp_path, capsys, oracle_numerics):
+        # a step that does not divide tau, or a horizon within one memory
+        # length, is refused before any of the pipeline runs
+        path = write_scenario(tmp_path, numerics=oracle_numerics)
+        code = run(path, tmp_path / "out")
+        out = capsys.readouterr().out
+        assert code == 3
+        assert out.strip().splitlines()[-1].startswith("RESULT error parse:scenario")
+        assert not (tmp_path / "out").exists()
+        # the grid is not checked when the scenario turns the oracle off
+        load_scenario(write_scenario(tmp_path, numerics={**oracle_numerics, "oracle": False}))
+
+    def test_horizon_below_tau_is_exit_3(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, numerics={"horizon": 0.5})
+        code = run(path, tmp_path / "out", no_oracle=True)
+        out = capsys.readouterr().out
+        assert code == 3
+        assert out.strip().splitlines()[-1].startswith("RESULT error parse:scenario")
+
     def test_failed_check_is_exit_1(self, tmp_path, capsys):
         # an absurdly tight drift tolerance forces a check failure
         path = write_scenario(
@@ -192,6 +214,9 @@ class TestRun:
         assert report["oracle"]["value_match"] < 1e-3
         assert report["oracle"]["ascent_gap"] < 1e-4
         assert "CHECK value_match pass" in out
+        section = report["oracle"]
+        assert 0 < section["ascent_projections"] <= 1.5 * section["ascent_iterations"]
+        assert 0 <= section["ascent_backtracks"] < section["ascent_projections"]
 
 
 class TestSweep:

@@ -20,7 +20,7 @@ from akhabit import (
     simulate_integral_form,
     value_function,
 )
-from akhabit.oracle import fd_gradient, fd_gradient_naive, project_feasible
+from akhabit.oracle import fd_gradient, fd_gradient_naive, gradient, project_feasible
 
 
 @pytest.fixture(scope="module")
@@ -223,3 +223,117 @@ class TestDiscreteProblemValidation:
     def test_horizon_must_exceed_memory(self, params, init):
         with pytest.raises(Exception):
             DiscreteProblem(params, init, T=1.0, m=200)
+
+
+def central_difference(problem, controls, h):
+    out = np.empty_like(controls)
+    for i in range(len(controls)):
+        bump = np.zeros_like(controls)
+        bump[i] = h
+        out[i] = (
+            evaluate_objective(problem, controls + bump)
+            - evaluate_objective(problem, controls - bump)
+        ) / (2 * h)
+    return out
+
+
+class TestAdjointGradient:
+    def test_matches_central_difference_at_optimum(self, small_problem, params):
+        traj = simulate_integral_form(
+            params, InitialState(10.0, HistoryGrid.constant(1.0, 1.0, 25)), T=3.0, n=25
+        )
+        g = gradient(small_problem, traj.c)
+        cd = central_difference(small_problem, traj.c, 1e-5)
+        # near the optimum the gradient is a near-cancelling sum, so measure
+        # the error against its gross terms, the weighted marginal utilities
+        excess = objective_breakdown(small_problem, traj.c).excess
+        scale = np.max(
+            small_problem.dt * small_problem.wt * small_problem.disc_rho
+            * excess ** -params.gamma
+        )
+        assert np.max(np.abs(g - cd)) <= 1e-7 * scale
+
+    def test_matches_central_difference_off_optimum(self, small_problem):
+        rng = np.random.default_rng(1)
+        c = project_feasible(small_problem, 0.8 + 0.3 * rng.uniform(size=76))
+        g = gradient(small_problem, c)
+        cd = central_difference(small_problem, c, 1e-5)
+        assert np.max(np.abs(g - cd)) <= 1e-7 * np.max(np.abs(cd))
+
+    def test_zero_excess_node_is_finite(self, history):
+        p = ModelParams(eps=0.5, eta=1.0, tau=1.0, A=0.3, delta=0.05, rho=0.2, gamma=0.5)
+        init05 = InitialState(10.0, history)
+        prob = DiscreteProblem(p, init05, T=3.0, m=300)
+        c = simulate_integral_form(p, init05, T=3.0, n=100).c
+        # lower one node to a hair below its habit, inside the feasibility
+        # slack; the later habits fall, so every other excess stays positive
+        excess = objective_breakdown(prob, c).excess
+        c[150] -= excess[150] / (1.0 - prob.kerw[-1]) + 1e-11
+        parts = objective_breakdown(prob, c)
+        assert math.isfinite(parts.J)
+        exc = np.maximum(parts.excess, 0.0)
+        assert exc[150] == 0.0 and np.all(np.delete(exc, 150) > 0.0)
+        g = gradient(prob, c)
+        assert np.all(np.isfinite(g))
+        # the secant slope u(fdh)/fdh is about what the forward difference
+        # sees; its bump moves the excess by fdh*(1 - self weight), not fdh
+        with np.errstate(invalid="ignore"):  # bumps of node 150's neighbours
+            fd = fd_gradient(prob, c)
+        assert g[150] == pytest.approx(fd[150], rel=2 * prob.kerw[-1])
+
+
+def project_sequential(problem, controls):
+    """Literal left-to-right projection sweep over every node (reference)."""
+    c = np.maximum(np.asarray(controls, dtype=float).copy(), 0.0)
+    hv = problem.init.history.values
+    n_tau = problem.n_tau
+    kerw = problem.kerw
+    self_w = kerw[-1]
+    cc = np.concatenate([hv[:-1], [problem.hist_end], np.zeros(problem.m)])
+    c0_floor = float(kerw @ hv)
+    c[0] = max(c[0], c0_floor)
+    cc[n_tau] += c[0]
+    for i in range(1, problem.m + 1):
+        known = float(kerw @ cc[i : i + n_tau + 1])
+        known -= problem._vH[i] * problem.hist_end + problem._vC[i] * c[0]
+        floor = known / (1.0 - self_w)
+        if c[i] < floor:
+            c[i] = floor
+        cc[n_tau + i] = c[i]
+    return c
+
+
+class TestProjectionFastPath:
+    @pytest.mark.parametrize("first", [0, 1000, 2000, None])
+    def test_bitwise_equal_to_full_sweep(self, problem, closed_loop, first):
+        c = closed_loop.copy()
+        if first is not None:
+            c[first] = problem.habit(closed_loop)[first] - 0.1
+            if first < problem.m:
+                c[first + 1 :: 7] -= 0.3  # further violations downstream
+        slack = c - problem.habit(c)
+        tight = np.flatnonzero(slack < 1e-9)
+        assert (tight[0] if tight.size else None) == first
+        proj = project_feasible(problem, c)
+        assert np.array_equal(proj, project_sequential(problem, c))
+        assert np.array_equal(proj, c) == (first is None)
+
+    def test_bitwise_equal_on_random_controls(self, problem, closed_loop):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            c = closed_loop + rng.uniform(0.0, 0.3) * rng.normal(size=problem.m + 1)
+            proj = project_feasible(problem, c)
+            assert np.array_equal(proj, project_sequential(problem, c))
+            # a projected control sits on its floors; one ulp either way
+            # puts every raised node on the knife edge of the sweep's test
+            down = rng.uniform(size=problem.m + 1) < 0.5
+            edge = np.nextafter(proj, np.where(down, -np.inf, np.inf))
+            assert np.array_equal(project_feasible(problem, edge), project_sequential(problem, edge))
+
+
+class TestAscentCounters:
+    def test_projections_per_iteration(self, params, init):
+        prob = DiscreteProblem(params, init, T=6.0, m=600)
+        cm = minimal_consumption(params, init.history, T=6.0, n=100)
+        res = projected_ascent(prob, cm.values + 0.5, iters=600)
+        assert res.projections <= 1.5 * res.iterations

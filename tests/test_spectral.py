@@ -21,6 +21,8 @@ from akhabit import (
     regime,
     spectral_report,
 )
+from akhabit import spectral
+from akhabit.errors import ContourError
 from conftest import random_valid_params
 
 
@@ -261,6 +263,11 @@ class TestDominance:
         assert abs(rep.residual) < 1e-12
         assert rep.dominance_margin == 0.1
         assert rep.p0 > 0.0
+
+    def test_zero_on_every_contour_is_contour_error(self, params, monkeypatch):
+        monkeypatch.setattr(spectral, "_kernel_numerator", lambda lam, p: np.zeros_like(lam))
+        with pytest.raises(ContourError):
+            count_zeros(params, -1.0, 1.0, 1.0, points=16)
 
     def test_margin_must_be_positive(self, params):
         with pytest.raises(ValueError):
