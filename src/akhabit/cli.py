@@ -10,20 +10,19 @@ was rejected (regime, feasibility, or degenerate boundary data), 3 an I/O
 or parse problem; the last stdout line is always ``RESULT <status> <code>``.
 
 ``akhabit sweep scenario.yaml --param tau --values 0.5,1,2`` repeats the
-pipeline per value (concurrently, oracle off) and writes a one-row-per-
-value summary CSV.
+pipeline per value (one after another, oracle off) and writes a one-row-
+per-value summary CSV.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
-import concurrent.futures
 import json
 import math
 import sys
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +93,25 @@ class Scenario:
             if self.numerics.oracle_horizon
             else 10.0 * self.params.tau
         )
+
+    def check_consistency(self) -> None:
+        """Raise ScenarioError unless the grids fit the memory length.
+
+        The simulation horizon must cover one memory length tau, and when
+        the oracle is on its step must divide tau over a horizon beyond it.
+        """
+        if not self.horizon >= self.params.tau:
+            raise ScenarioError(
+                f"horizon {self.horizon:g} must be at least one memory length tau = {self.params.tau:g}"
+            )
+        if self.numerics.oracle:
+            try:
+                oracle.grid_cells(self.params.tau, self.oracle_horizon, self.numerics.oracle_m)
+            except DomainError as exc:
+                raise ScenarioError(
+                    f"oracle grid (oracle_horizon {self.oracle_horizon:g}, oracle_m "
+                    f"{self.numerics.oracle_m}): {exc}"
+                ) from exc
 
 
 _ALLOWED_CALLS = {"exp": np.exp, "sin": np.sin, "cos": np.cos, "sqrt": np.sqrt, "abs": np.abs}
@@ -217,18 +235,7 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"unknown keys in initial block: {sorted(iblock)}")
     initial = InitialState(k0=k0, history=history)
     scn = Scenario(params=params, initial=initial, numerics=numerics)
-    if not scn.horizon >= params.tau:
-        raise ScenarioError(
-            f"horizon {scn.horizon:g} must be at least one memory length tau = {params.tau:g}"
-        )
-    if numerics.oracle:
-        try:
-            oracle.grid_cells(params.tau, scn.oracle_horizon, numerics.oracle_m)
-        except DomainError as exc:
-            raise ScenarioError(
-                f"oracle grid (oracle_horizon {scn.oracle_horizon:g}, oracle_m "
-                f"{numerics.oracle_m}): {exc}"
-            ) from exc
+    scn.check_consistency()
     return scn
 
 
@@ -256,11 +263,24 @@ class RunReport:
     invariants: dict = field(default_factory=dict)
     oracle: dict = field(default_factory=dict)
     checks: list = field(default_factory=list)
+    # for the CSV writers only; not part of report.json
+    feasibility_data: dde.FeasibilityReport | None = field(default=None, init=False, repr=False)
+    trajectory: simulate.Trajectory | None = field(default=None, init=False, repr=False)
+    monitor: simulate.MonitorReport | None = field(default=None, init=False, repr=False)
 
     def to_dict(self) -> dict:
-        d = asdict(self)
+        d = {f.name: getattr(self, f.name) for f in fields(self) if f.init}
         d["checks"] = [asdict(c) for c in self.checks]
         return d
+
+
+def _bounded(num: Numerics, **values: float) -> list[Check]:
+    """Checks that pass when each value is at most its named tolerance."""
+    checks = []
+    for name, value in values.items():
+        tol = num.tol(name)
+        checks.append(Check(name, value, tol, value <= tol))
+    return checks
 
 
 def _spectral_section(scn: Scenario) -> dict:
@@ -307,14 +327,7 @@ def run_pipeline(scn: Scenario, run_oracle: bool = True, seed: int | None = None
         return report
 
     report.spectral = _spectral_section(scn)
-    checks.append(
-        Check(
-            "spectral_residual",
-            abs(report.spectral["residual"]),
-            num.tol("spectral_residual"),
-            abs(report.spectral["residual"]) <= num.tol("spectral_residual"),
-        )
-    )
+    checks.extend(_bounded(num, spectral_residual=abs(report.spectral["residual"])))
     checks.append(
         Check(
             "dominance",
@@ -326,7 +339,7 @@ def run_pipeline(scn: Scenario, run_oracle: bool = True, seed: int | None = None
 
     feas = dde.check_feasibility(scn.params, scn.initial, T=scn.horizon, n=num.n)
     report.feasibility = _feasibility_section(feas, scn.initial.k0)
-    report._feasibility_data = feas  # internal, for the CSV writer
+    report.feasibility_data = feas
     if not feas.feasible:
         report.status, report.code = "reject", "infeasible:capital"
         return report
@@ -394,22 +407,18 @@ def run_pipeline(scn: Scenario, run_oracle: bool = True, seed: int | None = None
         "budget_lambda": mon_l.budget_residual,
         "cm_margin_min": mon.cm_margin_min,
     }
-    checks.append(
-        Check("g_drift", max(mon.g_drift_max, mon_l.g_drift_max), num.tol("g_drift"),
-              max(mon.g_drift_max, mon_l.g_drift_max) <= num.tol("g_drift"))
+    checks.extend(
+        _bounded(
+            num,
+            g_drift=max(mon.g_drift_max, mon_l.g_drift_max),
+            lambda_law=mon.lambda_gap_max,
+            cross_method=cross,
+            external=ext,
+            budget=max(mon.budget_residual, mon_l.budget_residual),
+        )
     )
-    checks.append(
-        Check("lambda_law", mon.lambda_gap_max, num.tol("lambda_law"),
-              mon.lambda_gap_max <= num.tol("lambda_law"))
-    )
-    checks.append(Check("cross_method", cross, num.tol("cross_method"), cross <= num.tol("cross_method")))
-    checks.append(Check("external", ext, num.tol("external"), ext <= num.tol("external")))
-    budget = max(mon.budget_residual, mon_l.budget_residual)
-    checks.append(Check("budget", budget, num.tol("budget"), budget <= num.tol("budget")))
-    checks.append(
-        Check("min_consumption", mon.cm_margin_min, -num.tol("min_consumption") * cm_scale,
-              mon.cm_margin_min >= -num.tol("min_consumption") * cm_scale)
-    )
+    cm_floor = -num.tol("min_consumption") * cm_scale
+    checks.append(Check("min_consumption", mon.cm_margin_min, cm_floor, mon.cm_margin_min >= cm_floor))
 
     if run_oracle and num.oracle:
         report.oracle = _oracle_section(scn, checks, seed)
@@ -419,7 +428,7 @@ def run_pipeline(scn: Scenario, run_oracle: bool = True, seed: int | None = None
     if not all(c.passed for c in checks):
         report.status = "fail"
         report.code = "check:" + next(c.name for c in checks if not c.passed)
-    report._trajectories = (traj, mon)  # internal, for output writers
+    report.trajectory, report.monitor = traj, mon
     return report
 
 
@@ -437,7 +446,7 @@ def _oracle_section(scn: Scenario, checks: list, seed: int) -> dict:
         StateSample(scn.initial.k0, scn.initial.history.resample(max(n_sim, 1000))), scn.params
     )
     match = abs(J_cl - v0) / abs(v0)
-    checks.append(Check("value_match", match, num.tol("value_match"), match <= num.tol("value_match")))
+    checks.extend(_bounded(num, value_match=match))
 
     section = {"J_closed_loop": J_cl, "v_predicted": v0, "value_match": match,
                "T": T, "m": m, "seed": seed}
@@ -461,7 +470,7 @@ def _oracle_section(scn: Scenario, checks: list, seed: int) -> dict:
     section["ascent_projections"] = res.projections
     section["ascent_backtracks"] = res.backtracks
     section["ascent_gap"] = gap
-    checks.append(Check("ascent", gap, num.tol("ascent"), gap <= num.tol("ascent")))
+    checks.extend(_bounded(num, ascent=gap))
     return section
 
 
@@ -491,13 +500,6 @@ def _json_sanitize(obj):
     return obj
 
 
-def _write_csv(path: Path, header: str, columns) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
-
-
 def _format_block(title: str, entries: dict) -> str:
     lines = [f"[{title}]"]
     for key, value in entries.items():
@@ -510,19 +512,16 @@ def _format_block(title: str, entries: dict) -> str:
 
 def write_outputs(report: RunReport, out_dir: Path, check_only: bool, plot_data: bool) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    traj = mon = None
-    if hasattr(report, "_trajectories"):
-        traj, mon = report._trajectories
-    feas = getattr(report, "_feasibility_data", None)
+    feas, traj = report.feasibility_data, report.trajectory
 
     if feas is not None:
-        _write_csv(out_dir / "feasibility.csv", "t,cm,kM", (feas.cm.t, feas.cm.values, feas.kM.values))
+        simulate.write_csv(out_dir / "feasibility.csv", "t,cm,kM", (feas.cm.t, feas.cm.values, feas.kM.values))
     if traj is not None and not check_only:
         traj.write_csv(out_dir / "trajectory.csv")
     if traj is not None and plot_data:
-        _write_csv(out_dir / "plot_path.csv", "t,k,c,h", (traj.t, traj.k, traj.c, traj.h))
-        _write_csv(out_dir / "plot_gdrift.csv", "t,g_drift", (traj.t, mon.g_drift))
-        _write_csv(
+        simulate.write_csv(out_dir / "plot_path.csv", "t,k,c,h", (traj.t, traj.k, traj.c, traj.h))
+        simulate.write_csv(out_dir / "plot_gdrift.csv", "t,g_drift", (traj.t, report.monitor.g_drift))
+        simulate.write_csv(
             out_dir / "plot_residuals.csv",
             "t,lambda_check,external_residual",
             (traj.t, traj.lambda_check, traj.external_residual),
@@ -607,7 +606,9 @@ def _sweep_row(scn: Scenario, name: str, value: float):
                 k0=initial.k0,
                 history=HistoryGrid(value, initial.history.values),
             )
-    row_scn = Scenario(params=params, initial=initial, numerics=scn.numerics)
+    # a sweep never runs the oracle, so the row is not held to its grid
+    row_scn = Scenario(params=params, initial=initial, numerics=replace(scn.numerics, oracle=False))
+    row_scn.check_consistency()
     report = run_pipeline(row_scn, run_oracle=False)
     lam0 = report.spectral.get("lambda0", math.nan)
     Lam = report.closed_loop.get("Lambda", math.nan)
@@ -634,13 +635,11 @@ def sweep(scenario_path, param: str, values, out_dir) -> int:
         return 3
 
     rows = []
-    with concurrent.futures.ThreadPoolExecutor(max_workers=min(8, len(values))) as pool:
-        futures = [pool.submit(_sweep_row, scn, param, v) for v in values]
-        for future in futures:
-            try:
-                rows.append(future.result())
-            except AkHabitError as exc:
-                rows.append((math.nan, math.nan, math.nan, math.nan, math.nan, exc.code, "error"))
+    for v in values:
+        try:
+            rows.append(_sweep_row(scn, param, v))
+        except AkHabitError as exc:
+            rows.append((v, math.nan, math.nan, math.nan, math.nan, exc.code, "error"))
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

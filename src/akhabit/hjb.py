@@ -60,23 +60,26 @@ def habit_weight(params: ModelParams) -> float:
     return params.eps * math.exp(-b * params.tau) / b
 
 
-def _window_functionals(state: StateSample, params: ModelParams) -> tuple[float, float]:
-    """(habit h, discounted window W) of the state's consumption window.
+def _window_functionals(history: HistoryGrid, params: ModelParams) -> tuple[float, float]:
+    """(habit h, discounted window W) of a consumption window re-based to [-tau, 0].
 
     W = integral over [t-tau, t] of exp(r (t-s)) c~(s) ds, re-based.
     """
-    vals = state.past_c.values
-    dt = state.past_c.dt
-    h = params.eps * exp_integral(vals, params.eta, dt)
-    W = exp_integral(vals, -params.r, dt)
+    h = params.eps * exp_integral(history.values, params.eta, history.dt)
+    W = exp_integral(history.values, -params.r, history.dt)
     return h, W
 
 
-def g_reduced(state: StateSample, params: ModelParams) -> float:
-    """The aggregate G via the integrated-by-parts single-window form."""
+def aggregate(k: float, history: HistoryGrid, params: ModelParams) -> float:
+    """The aggregate G = kappa0*k - (h/(r+eta) - w*W) by the single-window form.
+
+    The one evaluation of G from capital and a consumption window; every
+    other route to G (Lambda, the capital threshold, the simulated paths'
+    starting value, G_value) goes through it.
+    """
     der = validate(params)
-    h, W = _window_functionals(state, params)
-    return der.kappa0 * state.k - h / (params.r + params.eta) + habit_weight(params) * W
+    h, W = _window_functionals(history, params)
+    return der.kappa0 * k - (h / (params.r + params.eta) - habit_weight(params) * W)
 
 
 def G_value(state: StateSample, params: ModelParams, mismatch_tol: float = G_MISMATCH_TOL) -> float:
@@ -93,9 +96,8 @@ def G_value(state: StateSample, params: ModelParams, mismatch_tol: float = G_MIS
     vals = state.past_c.values
     dt = state.past_c.dt
     n = state.past_c.n
-    h, W = _window_functionals(state, params)
-    second_reduced = h / (params.r + params.eta) - habit_weight(params) * W
-    reduced = der.kappa0 * state.k - second_reduced
+    reduced = aggregate(state.k, state.past_c, params)
+    second_reduced = der.kappa0 * state.k - reduced
 
     w_eta = exp_weights(params.eta, dt, n)
     x1 = np.empty(n + 1)
@@ -129,7 +131,7 @@ def feedback(state: StateSample, params: ModelParams) -> float:
     G = G_value(state, params)
     if G <= 0.0:
         raise DomainError(f"state outside the feedback region: G = {G:.6g} <= 0", code="domain:G")
-    h, _ = _window_functionals(state, params)
+    h, _ = _window_functionals(state.past_c, params)
     return h + der.alpha * G
 
 
@@ -140,7 +142,7 @@ def _hamiltonian_pieces(
     G = G_value(state, params)
     if G <= 0.0:
         raise DomainError(f"state outside the value region: G = {G:.6g} <= 0", code="domain:G")
-    h, _ = _window_functionals(state, params)
+    h, _ = _window_functionals(state.past_c, params)
     v = der.nu * G ** (1.0 - params.gamma)
     bstar_dv = -(1.0 - params.gamma) * der.nu * G ** (-params.gamma)
     return G, h, v, bstar_dv

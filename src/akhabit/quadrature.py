@@ -72,6 +72,27 @@ def window_integral(
     return left + right
 
 
+def window_integrals(hist: np.ndarray, comp: np.ndarray, beta: float, dt: float) -> np.ndarray:
+    """``window_integral`` at every node j = 0..len(comp)-1, in one correlation.
+
+    The history's left limit and the computed start share the t = 0 slot
+    of the concatenated path, which is correlated against the
+    trapezoid-halved kernel.  Window j <= n holds that slot at kernel
+    index n - j, where each one-sided value should carry only the half
+    weight of its own piece (none when its piece is the empty interval),
+    so the excess is subtracted afterwards.
+    """
+    n = len(hist) - 1
+    w = dt * exp_weights(beta, dt, n)
+    kern = w.copy()
+    kern[[0, -1]] *= 0.5
+    path = np.concatenate([hist[:-1], [hist[-1] + comp[0]], comp[1:]])
+    out = np.correlate(path, kern, mode="valid")
+    j = np.arange(min(n, len(comp) - 1) + 1)
+    out[j] -= 0.5 * w[n - j] * (np.where(j > 0, hist[-1], 0.0) + np.where(j < n, comp[0], 0.0))
+    return out
+
+
 def cumulative_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:
     """Running trapezoid integral of sampled values, starting at 0."""
     values = np.asarray(values, dtype=float)

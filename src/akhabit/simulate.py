@@ -34,15 +34,15 @@ import numpy as np
 
 from . import dde
 from .errors import CoarseGridError, ConstraintError, InconsistencyError
-from .hjb import habit_weight
+from .hjb import aggregate, habit_weight
 from .model import HistoryGrid, InitialState, ModelParams, validate
 from .quadrature import (
     cumulative_trapezoid,
-    exp_integral,
     exp_weights,
     steps_for,
     trap_dot,
     window_integral,
+    window_integrals,
 )
 
 #: floor multiplier (times Lambda) for relative residual denominators
@@ -80,20 +80,20 @@ class Trajectory:
 
     def write_csv(self, path) -> None:
         """CSV with one row per node, 17-significant-digit decimals."""
-        columns = (
-            self.t,
-            self.k,
-            self.c,
-            self.h,
-            self.G,
-            self.c_minus_h,
-            self.lambda_check,
-            self.external_residual,
+        write_csv(
+            path,
+            "t,k,c,h,G,c_minus_h,lambda_check,external_residual",
+            (self.t, self.k, self.c, self.h, self.G, self.c_minus_h,
+             self.lambda_check, self.external_residual),
         )
-        with open(path, "w", newline="") as fh:
-            fh.write("t,k,c,h,G,c_minus_h,lambda_check,external_residual\n")
-            for row in zip(*columns):
-                fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+
+
+def write_csv(path, header: str, columns) -> None:
+    """CSV of equal-length columns under ``header``, 17-significant-digit decimals."""
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        for row in zip(*columns):
+            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
 
 
 @dataclass(frozen=True)
@@ -110,37 +110,26 @@ class MonitorReport:
 def lambda_constant(params: ModelParams, init: InitialState) -> float:
     """Level Lambda of the detrended excess consumption, from the initial data.
 
-    Lambda = (r - Gamma) * [kappa0*k0 - (h0/(r+eta) - w * V0)] with
-    w the discounted-window weight and V0 the r-discounted history
-    integral; equivalently alpha * G at time zero.  Both forms are
-    computed and must agree to rounding (the prefactors r - Gamma and
-    alpha are the same number through different arithmetic).
+    Lambda = (r - Gamma) * G(0) with G(0) = kappa0*k0 - (h0/(r+eta) - w*V0);
+    equivalently alpha * G(0).  Both products are computed and must agree
+    to rounding (the prefactors r - Gamma and alpha are the same number
+    through different arithmetic).
     """
-    from .hjb import StateSample, g_reduced
-
     der = validate(params)
-    hist = init.history
-    r = params.r
-    b = r + params.eta
-    h0 = params.eps * exp_integral(hist.values, params.eta, hist.dt)
-    V0 = exp_integral(hist.values, -r, hist.dt)
-    direct = (r - der.Gamma) * (der.kappa0 * init.k0 - (h0 / b - habit_weight(params) * V0))
-    via_g = der.alpha * g_reduced(StateSample(init.k0, hist), params)
-    scale = abs(direct) + abs(via_g) + der.alpha * der.kappa0 * init.k0 + 1e-300
-    if abs(direct - via_g) > 1e-8 * scale:
+    G0 = aggregate(init.k0, init.history, params)
+    direct = (params.r - der.Gamma) * G0
+    via_alpha = der.alpha * G0
+    scale = abs(direct) + abs(via_alpha) + der.alpha * der.kappa0 * init.k0 + 1e-300
+    if abs(direct - via_alpha) > 1e-8 * scale:
         raise InconsistencyError(
-            f"Lambda forms disagree: direct={direct!r} via G={via_g!r}"
+            f"Lambda forms disagree: (r - Gamma)*G={direct!r} alpha*G={via_alpha!r}"
         )
     return direct
 
 
 def initial_capital_threshold(params: ModelParams, history: HistoryGrid) -> float:
-    """Smallest k0 with Lambda > 0: k0* = (h0/(r+eta) - w*V0) / kappa0."""
-    der = validate(params)
-    b = params.r + params.eta
-    h0 = params.eps * exp_integral(history.values, params.eta, history.dt)
-    V0 = exp_integral(history.values, -params.r, history.dt)
-    return (h0 / b - habit_weight(params) * V0) / der.kappa0
+    """Smallest k0 with Lambda > 0: k0* = (h0/(r+eta) - w*V0) / kappa0 = -G(k0=0) / kappa0."""
+    return -aggregate(0.0, history, params) / validate(params).kappa0
 
 
 def _rk4_linear_coeffs(r: float, dt: float) -> tuple[float, float, float]:
@@ -247,8 +236,7 @@ def simulate_integral_form(
 
     k[0] = init.k0
     h[0] = params.eps * trap_dot(w_eta, hv, dt)
-    W0 = trap_dot(w_mr, hv, dt)
-    G[0] = kappa0 * init.k0 - h[0] / b + q * W0
+    G[0] = aggregate(init.k0, hist, params)
     c[0] = h[0] + alpha * G[0]
 
     c_tol = 1e-9 * (abs(h[0]) + abs(Lam) + 1.0)
@@ -300,8 +288,6 @@ def simulate_lambda_form(
     Gamma = der.Gamma
     decay = math.exp(-eta * params.tau)
     steps = steps_for(T, dt)
-    w_eta = exp_weights(eta, dt, n)
-    w_mr = exp_weights(-r, dt, n)
 
     hv = hist.values
     t = np.arange(steps + 1) * dt
@@ -310,7 +296,7 @@ def simulate_lambda_form(
     h = np.empty(steps + 1)
 
     k[0] = init.k0
-    h[0] = eps * trap_dot(w_eta, hv, dt)
+    h[0] = eps * trap_dot(exp_weights(eta, dt, n), hv, dt)
     c[0] = h[0] + Lam
 
     c_tol = 1e-9 * (abs(h[0]) + abs(Lam) + 1.0)
@@ -343,11 +329,8 @@ def simulate_lambda_form(
 
     # the aggregate column is an independent window quadrature of the path,
     # not the ODE state, so its drift is a genuine diagnostic here too
-    G = np.empty(steps + 1)
-    for j in range(steps + 1):
-        hq = eps * window_integral(hv, c, j, eta, dt, w_eta)
-        Wq = window_integral(hv, c, j, -r, dt, w_mr)
-        G[j] = der.kappa0 * k[j] - hq / b + q * Wq
+    hq = eps * window_integrals(hv, c, eta, dt)
+    G = der.kappa0 * k - hq / b + q * window_integrals(hv, c, -r, dt)
     return _finalize(params, der, hist, Lam, degenerate, "lambda", t, k, c, h, G)
 
 
@@ -356,19 +339,12 @@ def _external_profile(params, hist, t, k, c, h, Lam):
     r = params.r
     b = r + params.eta
     dt = float(t[1] - t[0])
-    w_mr = exp_weights(-r, dt, hist.n)
-    hv = hist.values
     coef = params.eps * math.exp(-params.eta * params.tau) * math.exp(-r * params.tau)
     floor = RESIDUAL_FLOOR * max(Lam, 0.0) + 1e-300
-    out = np.empty_like(t)
-    for j in range(len(t)):
-        W = window_integral(hv, c, j, -r, dt, w_mr)
-        lhs = (c[j] - h[j]) / (r - der.Gamma)
-        rhs = k[j] - (
-            h[j] + params.eps * (1.0 - math.exp(-b * params.tau)) * k[j] - coef * W
-        ) / b
-        out[j] = abs(lhs - rhs) / (abs(lhs) + abs(rhs) + floor)
-    return out
+    W = window_integrals(hist.values, c, -r, dt)
+    lhs = (c - h) / (r - der.Gamma)
+    rhs = k - (h + params.eps * (1.0 - math.exp(-b * params.tau)) * k - coef * W) / b
+    return np.abs(lhs - rhs) / (np.abs(lhs) + np.abs(rhs) + floor)
 
 
 def external_residual_profile(traj: Trajectory, params: ModelParams) -> np.ndarray:

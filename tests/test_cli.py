@@ -245,6 +245,20 @@ class TestSweep:
         path = write_scenario(tmp_path)
         assert sweep(path, "tau", [], tmp_path / "out") == 3
 
+    def test_tau_above_horizon_is_an_error_row(self, tmp_path, capsys):
+        # the scenario's horizon is 8, so tau = 10 leaves no whole memory
+        # window; that row is refused and the other rows still run
+        path = write_scenario(tmp_path)
+        code = sweep(path, "tau", [0.5, 10.0], tmp_path / "out")
+        out = capsys.readouterr().out
+        assert code == 1
+        assert out.strip().splitlines()[-1] == "RESULT fail sweep:1-of-2-rows"
+        lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]
+        assert lines[0].split(",")[-1] == "ok"
+        row = lines[1].split(",")
+        assert float(row[0]) == 10.0
+        assert row[-2:] == ["parse:scenario", "error"]
+
     def test_bad_param_is_exit_3(self, tmp_path, capsys):
         path = write_scenario(tmp_path)
         assert sweep(path, "A", [0.1], tmp_path / "out") == 3
