@@ -389,8 +389,8 @@ def run_pipeline(scn: Scenario, run_oracle: bool = True, seed: int | None = None
         "n": num.n,
     }
 
-    mon = simulate.invariant_monitor(traj, scn.params, scn.initial)
-    mon_l = simulate.invariant_monitor(traj_l, scn.params, scn.initial)
+    mon = simulate.invariant_monitor(traj, scn.params, scn.initial, cm=feas.cm)
+    mon_l = simulate.invariant_monitor(traj_l, scn.params, scn.initial, cm=feas.cm)
     cross = max(
         float(np.max(np.abs(a - b)) / np.max(np.abs(a)))
         for a, b in ((traj.k, traj_l.k), (traj.c, traj_l.c), (traj.h, traj_l.h))

@@ -16,6 +16,10 @@ discounted cost of c_m:
 The integrator works on the renewal form, not the differentiated delay
 equation: the integral form is self-starting from a merely integrable
 history and is indifferent to the jump of the concatenation at t = 0.
+The windows that straddle t = 0 (nodes j <= n) are split trapezoid sums;
+later windows come from one sliding sum, updated in O(1) per node and
+re-anchored by an exact dot product once per memory block of n nodes.
+A run computes c_m once, here, and shares it with the path monitors.
 """
 
 from __future__ import annotations
@@ -27,7 +31,13 @@ import numpy as np
 
 from .errors import StepError
 from .model import HistoryGrid, InitialState, ModelParams
-from .quadrature import cumulative_trapezoid, exp_weights, steps_for, trap_dot, window_integral
+from .quadrature import (
+    cumulative_trapezoid,
+    exp_weights,
+    sliding_window_integrals,
+    steps_for,
+    trap_dot,
+)
 from .spectral import real_root
 
 #: default feasibility horizon, in units of tau
@@ -76,7 +86,9 @@ def minimal_consumption(
     At each node the trapezoid window makes c_m(t_j) appear on both sides
     with self-weight eps*dt/2; the scalar linear equation is solved
     exactly.  The window split at t = 0 keeps the history's left limit and
-    c_m(0) (which generally differ) on their own segments.
+    c_m(0) (which generally differ) on their own segments.  Past the
+    first memory length the known part of the window is a sliding sum,
+    O(1) per node (``quadrature.sliding_window_integrals``).
     """
     if T < params.tau:
         raise ValueError(f"horizon T={T} must be at least one memory length tau={params.tau}")
@@ -93,9 +105,9 @@ def minimal_consumption(
     comp = np.zeros(steps + 1)
     hv = hist.values
     comp[0] = params.eps * trap_dot(weights, hv, dt)
-    for j in range(1, steps + 1):
-        known = params.eps * window_integral(hv, comp, j, params.eta, dt, weights)
-        comp[j] = known / (1.0 - self_weight)
+    windows = sliding_window_integrals(hv, comp, params.eta, dt)
+    for j, window in zip(range(1, steps + 1), windows):
+        comp[j] = params.eps * window / (1.0 - self_weight)
     return SampledPath(t=np.arange(steps + 1) * dt, values=comp)
 
 
@@ -123,7 +135,10 @@ def check_feasibility(
     capital stock and the data are infeasible outright.  Otherwise the
     cost integral is truncated at T (default 8*tau) and closed with the
     tail bound C * exp((lambda0 - r) T) / (r - lambda0), where C is the
-    max of c_m(t) exp(-lambda0 t) over the last memory length.
+    max of c_m(t) exp(-lambda0 t) over the last memory length.  The bound
+    is evaluated as max(c_m(t) exp(lambda0 (T - t))) * exp(-r T) / (r - lambda0),
+    which never forms exp(-lambda0 t): that factor overflows when lambda0
+    is very negative, while c_m has underflowed to zero.
     """
     if T is None:
         T = DEFAULT_HORIZON * params.tau
@@ -145,8 +160,9 @@ def check_feasibility(
 
     cost_T = trap_dot(np.exp(-r * cm.t), cm.values, cm.dt)
     window = cm.t >= cm.t[-1] - params.tau
-    envelope = float(np.max(cm.values[window] * np.exp(-lam0 * cm.t[window])))
-    tail = envelope * math.exp((lam0 - r) * cm.t[-1]) / (r - lam0)
+    t_end = cm.t[-1]
+    envelope = float(np.max(cm.values[window] * np.exp(lam0 * (t_end - cm.t[window]))))
+    tail = envelope * math.exp(-r * t_end) / (r - lam0)
     cost = cost_T + tail
     slack = init.k0 - cost
     return FeasibilityReport(

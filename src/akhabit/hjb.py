@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DomainError, MismatchError
 from .model import DerivedConstants, HistoryGrid, ModelParams, validate
-from .quadrature import exp_integral, exp_weights, trap_dot
+from .quadrature import exp_integral, exp_weights
 
 #: relative disagreement between the two G quadrature forms that flags a
 #: too-coarse grid
@@ -82,6 +82,24 @@ def aggregate(k: float, history: HistoryGrid, params: ModelParams) -> float:
     return der.kappa0 * k - (h / (params.r + params.eta) - habit_weight(params) * W)
 
 
+def inner_component(past_c: HistoryGrid, params: ModelParams) -> np.ndarray:
+    """Inner component x1 of G at the window nodes s_q = (q - n) dt, q = 0..n.
+
+    x1(s) = eps * integral over [-tau, s] of c~(u - s) exp(eta u) du, and
+    node q is the trapezoid sum of w_i * v[n-q+i] over i = 0..q with
+    w_i = exp(eta (i - n) dt).  Since w_i = exp(eta (q - n) dt) * w_(n-q+i),
+    all n+1 sums come from one reversed running sum of w * v, less the
+    two half end terms.  This route shares no kernel with ``aggregate``,
+    so the direct form stays an independent check of the reduced one.
+    """
+    v = past_c.values
+    n = past_c.n
+    w = exp_weights(params.eta, past_c.dt, n)
+    running = np.cumsum((w * v)[::-1])
+    ends = 0.5 * (w[0] * v[::-1] + w * v[n])
+    return params.eps * past_c.dt * (w * running - ends)
+
+
 def G_value(state: StateSample, params: ModelParams, mismatch_tol: float = G_MISMATCH_TOL) -> float:
     """Aggregate state functional G, computed by both quadrature forms.
 
@@ -93,18 +111,10 @@ def G_value(state: StateSample, params: ModelParams, mismatch_tol: float = G_MIS
     the reduced form.
     """
     der = validate(params)
-    vals = state.past_c.values
-    dt = state.past_c.dt
-    n = state.past_c.n
     reduced = aggregate(state.k, state.past_c, params)
     second_reduced = der.kappa0 * state.k - reduced
 
-    w_eta = exp_weights(params.eta, dt, n)
-    x1 = np.empty(n + 1)
-    x1[0] = 0.0
-    for q in range(1, n + 1):
-        x1[q] = params.eps * trap_dot(w_eta[: q + 1], vals[n - q :], dt)
-    second_direct = exp_integral(x1, params.r, dt)
+    second_direct = exp_integral(inner_component(state.past_c, params), params.r, state.past_c.dt)
     direct = der.kappa0 * state.k - second_direct
 
     scale = abs(der.kappa0 * state.k) + abs(second_reduced) + abs(second_direct) + 1e-300

@@ -11,6 +11,20 @@ u = 0, so windows that straddle zero are integrated as two trapezoid
 sums, one per smooth piece, with both one-sided values at the breakpoint.
 Skipping that split costs an O(dt) error on every early window and ruins
 the order-2 convergence of everything built on top.
+
+Sequential recurrences (the renewal equation for the minimal plan, the
+implicit step of the integral-form simulation) need the window at node
+j before c(t_j) is known.  ``sliding_window_integrals`` serves them in
+O(1) per node: the split windows j <= n go through ``window_integral``;
+past them the full window sum S (every node but the unknown newest one)
+updates as
+
+    S <- exp(-beta*dt) * (S + c_{j-1} - w_0 * c_{j-1-n}),
+
+with w_0 = exp(-beta*tau), and the trapezoid value is dt*(S - w_0*c_{j-n}/2).
+For beta < 0 each update multiplies the rounding already in S by
+exp(|beta|*dt), so S is re-anchored by an exact dot product once per
+block of n nodes, which bounds the drift by exp(|beta|*tau) roundings.
 """
 
 from __future__ import annotations
@@ -91,6 +105,32 @@ def window_integrals(hist: np.ndarray, comp: np.ndarray, beta: float, dt: float)
     j = np.arange(min(n, len(comp) - 1) + 1)
     out[j] -= 0.5 * w[n - j] * (np.where(j > 0, hist[-1], 0.0) + np.where(j < n, comp[0], 0.0))
     return out
+
+
+def sliding_window_integrals(hist: np.ndarray, comp: np.ndarray, beta: float, dt: float):
+    """Yield ``window_integral(hist, comp, j, beta, dt)`` for j = 1..len(comp)-1
+    with comp[j] read as 0, while the caller fills comp in between.
+
+    Each value is taken after comp[:j] is final and before comp[j] is
+    written (the caller's unknown at node j enters through the endpoint
+    weight dt/2, which it adds itself); comp[j] itself must still hold 0
+    when j <= n.
+    """
+    n = len(hist) - 1
+    weights = exp_weights(beta, dt, n)
+    for j in range(1, min(n, len(comp) - 1) + 1):
+        yield window_integral(hist, comp, j, beta, dt, weights)
+    head = weights[:n]
+    w0 = float(weights[0])
+    decay = math.exp(-beta * dt)
+    total = 0.0
+    item = comp.item  # Python floats keep the per-node arithmetic cheap
+    for j in range(n + 1, len(comp)):
+        if (j - 1) % n == 0:
+            total = float(head @ comp[j - n : j])
+        else:
+            total = decay * (total + item(j - 1) - w0 * item(j - 1 - n))
+        yield dt * (total - 0.5 * w0 * item(j - n))
 
 
 def cumulative_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:

@@ -8,15 +8,21 @@ Gamma, so the excess of consumption over habit is the pure exponential
 Two integrators produce the path:
 
 * the integral form closes the loop through the policy c = h + alpha*G,
-  re-evaluating the habit and the discounted consumption window by
+  evaluating the habit and the discounted consumption window by
   trapezoid at every node (the current consumption enters both windows
   linearly through the endpoint weight, and capital enters the policy
-  through the one-step update, so each node is one scalar linear solve);
+  through the one-step update, so each node is one scalar linear solve).
+  The windows that straddle t = 0 are split trapezoid sums; later ones
+  are O(1) sliding sums re-anchored once per memory block
+  (``quadrature.sliding_window_integrals``);
 
 * the lambda form takes the exponential excess law as given and evolves
   the habit by its differentiated delay law
   dh/dt = eps*(c(t) - c(t-tau) exp(-eta tau)) - eta*h
-  alongside capital, with a 4-stage explicit step.
+  alongside capital, with a 4-stage explicit step.  The law is linear
+  and its delayed input is known one memory block ahead (the method of
+  steps), so the step is applied as precomputed 2x2 maps, one block of
+  n steps at a time.
 
 The two routes share nothing beyond the initial quadratures, so their
 agreement (and the vanishing residual of the external-habit policy
@@ -39,9 +45,9 @@ from .model import HistoryGrid, InitialState, ModelParams, validate
 from .quadrature import (
     cumulative_trapezoid,
     exp_weights,
+    sliding_window_integrals,
     steps_for,
     trap_dot,
-    window_integral,
     window_integrals,
 )
 
@@ -88,12 +94,24 @@ class Trajectory:
         )
 
 
+#: rows formatted per write by write_csv; a larger chunk writes no faster
+#: and holds more formatted rows in memory at once
+CSV_CHUNK = 256
+
+
 def write_csv(path, header: str, columns) -> None:
-    """CSV of equal-length columns under ``header``, 17-significant-digit decimals."""
+    """CSV of equal-length columns under ``header``, 17-significant-digit decimals.
+
+    Rows are formatted a chunk at a time from Python floats with one
+    ``%.17g`` row template, so memory stays bounded by the chunk.
+    """
+    template = ",".join(["%.17g"] * len(columns)) + "\n"
+    rows = len(columns[0])
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        for lo in range(0, rows, CSV_CHUNK):
+            chunk = [np.asarray(col[lo : lo + CSV_CHUNK]).tolist() for col in columns]
+            fh.write("".join(template % row for row in zip(*chunk)))
 
 
 @dataclass(frozen=True)
@@ -132,18 +150,39 @@ def initial_capital_threshold(params: ModelParams, history: HistoryGrid) -> floa
     return -aggregate(0.0, history, params) / validate(params).kappa0
 
 
+def _rk4_maps(r: float, a: float, dt: float) -> tuple[np.ndarray, ...]:
+    """One 4-stage step of (k, h)' = (r k - h, a h) + f as linear maps.
+
+    y(t+dt) = P y(t) + F0 f(t) + Fm f(t + dt/2) + F1 f(t + dt), found by
+    applying the step to unit states and unit forcings (the step is linear
+    in both, so these four 2x2 matrices are the whole step).
+    """
+
+    def step(y, f0, fm, f1):
+        def rate(y, f):
+            return np.array([r * y[0] - y[1] + f[0], a * y[1] + f[1]])
+
+        s1 = rate(y, f0)
+        s2 = rate(y + 0.5 * dt * s1, fm)
+        s3 = rate(y + 0.5 * dt * s2, fm)
+        s4 = rate(y + dt * s3, f1)
+        return y + dt * (s1 + 2 * s2 + 2 * s3 + s4) / 6.0
+
+    zero = np.zeros(2)
+    units = np.eye(2)
+    return (
+        np.column_stack([step(e, zero, zero, zero) for e in units]),
+        np.column_stack([step(zero, e, zero, zero) for e in units]),
+        np.column_stack([step(zero, zero, e, zero) for e in units]),
+        np.column_stack([step(zero, zero, zero, e) for e in units]),
+    )
+
+
 def _rk4_linear_coeffs(r: float, dt: float) -> tuple[float, float, float]:
     """k(t+dt) = a*k(t) + b*c(t) + d*c(t+dt) for dk/dt = r k - c, c linear in t."""
-
-    def step(k, c0, c1):
-        cm = 0.5 * (c0 + c1)
-        s1 = r * k - c0
-        s2 = r * (k + 0.5 * dt * s1) - cm
-        s3 = r * (k + 0.5 * dt * s2) - cm
-        s4 = r * (k + dt * s3) - c1
-        return k + dt * (s1 + 2 * s2 + 2 * s3 + s4) / 6.0
-
-    return step(1.0, 0.0, 0.0), step(0.0, 1.0, 0.0), step(0.0, 0.0, 1.0)
+    P, F0, Fm, F1 = _rk4_maps(r, 0.0, dt)
+    half = 0.5 * Fm[0, 0]  # c(t + dt/2) = (c(t) + c(t+dt)) / 2
+    return float(P[0, 0]), -float(F0[0, 0] + half), -float(F1[0, 0] + half)
 
 
 def _prepare(params, init, n):
@@ -201,10 +240,11 @@ def simulate_integral_form(
     T: float,
     n: int | None = None,
 ) -> Trajectory:
-    """Close the loop through the policy c = h + alpha*G, windows re-quadratured.
+    """Close the loop through the policy c = h + alpha*G, one window sum per node.
 
     At each node the habit and the discounted window are trapezoid sums
-    over the stored concatenated path; the unknown c(t_j) enters both
+    over the stored concatenated path (split at t = 0 for the first n
+    nodes, O(1) sliding sums afterwards); the unknown c(t_j) enters both
     through the endpoint weight and enters capital through the one-step
     update, so it solves a scalar linear equation.  Capital advances with
     a 4-stage explicit step treating c as linear over the step.
@@ -218,7 +258,6 @@ def simulate_integral_form(
     alpha, kappa0 = der.alpha, der.kappa0
     steps = steps_for(T, dt)
     w_eta = exp_weights(params.eta, dt, n)
-    w_mr = exp_weights(-r, dt, n)
     a_rk, b_rk, d_rk = _rk4_linear_coeffs(r, dt)
 
     self_weight = (params.eps * dt / 2.0) * (1.0 - alpha / b) + alpha * kappa0 * d_rk + alpha * q * (dt / 2.0)
@@ -241,26 +280,27 @@ def simulate_integral_form(
 
     c_tol = 1e-9 * (abs(h[0]) + abs(Lam) + 1.0)
     k_tol = 1e-9 * init.k0
-    for j in range(1, steps + 1):
-        # c[j] is still 0, so the window sums are the known parts
-        h_known = params.eps * window_integral(hv, c, j, params.eta, dt, w_eta)
-        W_known = window_integral(hv, c, j, -r, dt, w_mr)
-        rhs = (
-            h_known * (1.0 - alpha / b)
-            + alpha * kappa0 * (a_rk * k[j - 1] + b_rk * c[j - 1])
-            + alpha * q * W_known
-        )
-        cj = rhs / (1.0 - self_weight)
-        kj = a_rk * k[j - 1] + b_rk * c[j - 1] + d_rk * cj
-        c[j] = cj
-        k[j] = kj
-        h[j] = h_known + (params.eps * dt / 2.0) * cj
-        G[j] = kappa0 * kj - h[j] / b + q * (W_known + (dt / 2.0) * cj)
-        if cj < h[j] - c_tol or kj < -k_tol:
+    eps = params.eps
+    h_gain, k_gain, W_gain = 1.0 - alpha / b, alpha * kappa0, alpha * q
+    k_prev, c_prev = float(k[0]), float(c[0])
+    # c[j] is still 0 when its windows are taken, so they are the known parts
+    h_windows = sliding_window_integrals(hv, c, params.eta, dt)
+    W_windows = sliding_window_integrals(hv, c, -r, dt)
+    W_known = np.empty(steps + 1)
+    for j, h_window, W_j in zip(range(1, steps + 1), h_windows, W_windows):
+        h_known = eps * h_window
+        carry = a_rk * k_prev + b_rk * c_prev
+        cj = (h_known * h_gain + k_gain * carry + W_gain * W_j) / (1.0 - self_weight)
+        kj = carry + d_rk * cj
+        hj = h_known + (eps * dt / 2.0) * cj
+        c[j], k[j], h[j], W_known[j] = cj, kj, hj, W_j
+        if cj < hj - c_tol or kj < -k_tol:
             raise ConstraintError(
-                f"constraint violated at t={j * dt:.6g}: c={cj:.6g}, h={h[j]:.6g}, k={kj:.6g}",
+                f"constraint violated at t={j * dt:.6g}: c={cj:.6g}, h={hj:.6g}, k={kj:.6g}",
                 t=j * dt,
             )
+        k_prev, c_prev = kj, cj
+    G[1:] = kappa0 * k[1:] - h[1:] / b + q * (W_known[1:] + (dt / 2.0) * c[1:])
     return _finalize(params, der, hist, Lam, degenerate, "integral", t, k, c, h, G)
 
 
@@ -277,6 +317,13 @@ def simulate_lambda_form(
     segment per step (the segment switches from the history to the
     computed path exactly at t = tau, which keeps the jump of the
     concatenation at zero on the correct side of each step).
+
+    The law is linear in (k, h), and by the method of steps its forcing
+    (the excess and the delayed consumption) is known one memory block of
+    n steps ahead.  So each block builds its forcing in a few array
+    operations, maps it through the step's 2x2 forcing matrices, and runs
+    the scalar recurrence y <- P y + b; the constraints are checked once
+    per block, and the first violating node is reported.
     """
     der, init, hist, Lam, degenerate = _prepare(params, init, n)
     n = hist.n
@@ -288,6 +335,8 @@ def simulate_lambda_form(
     Gamma = der.Gamma
     decay = math.exp(-eta * params.tau)
     steps = steps_for(T, dt)
+    P, F0, Fm, F1 = _rk4_maps(r, eps - eta, dt)
+    (p00, p01), (p10, p11) = P.tolist()
 
     hv = hist.values
     t = np.arange(steps + 1) * dt
@@ -301,31 +350,33 @@ def simulate_lambda_form(
 
     c_tol = 1e-9 * (abs(h[0]) + abs(Lam) + 1.0)
     k_tol = 1e-9 * init.k0
-    for j in range(steps):
-        if j < n:
-            v0, v1 = hv[j], hv[j + 1]
+    for lo in range(0, steps, n):
+        hi = min(lo + n, steps)
+        # delayed consumption at both ends of steps lo..hi-1: the history in
+        # the first block, the computed path one block back afterwards
+        if lo == 0:
+            v0, v1 = hv[:hi], hv[1 : hi + 1]
         else:
-            v0, v1 = c[j - n], c[j - n + 1]
-        t0 = j * dt
-
-        def rate(sigma, kj, hj):
-            excess = Lam * math.exp(Gamma * (t0 + sigma * dt))
+            v0, v1 = c[lo - n : hi - n], c[lo - n + 1 : hi - n + 1]
+        t0 = t[lo:hi]
+        forcing = np.zeros((2, hi - lo))
+        for F, sigma in ((F0, 0.0), (Fm, 0.5), (F1, 1.0)):
+            excess = Lam * np.exp(Gamma * (t0 + sigma * dt))
             c_del = v0 + sigma * (v1 - v0)
-            dk = r * kj - (hj + excess)
-            dh = (eps - eta) * hj + eps * excess - eps * decay * c_del
-            return dk, dh
-
-        dk1, dh1 = rate(0.0, k[j], h[j])
-        dk2, dh2 = rate(0.5, k[j] + 0.5 * dt * dk1, h[j] + 0.5 * dt * dh1)
-        dk3, dh3 = rate(0.5, k[j] + 0.5 * dt * dk2, h[j] + 0.5 * dt * dh2)
-        dk4, dh4 = rate(1.0, k[j] + dt * dk3, h[j] + dt * dh3)
-        k[j + 1] = k[j] + dt * (dk1 + 2 * dk2 + 2 * dk3 + dk4) / 6.0
-        h[j + 1] = h[j] + dt * (dh1 + 2 * dh2 + 2 * dh3 + dh4) / 6.0
-        c[j + 1] = h[j + 1] + Lam * math.exp(Gamma * (j + 1) * dt)
-        if c[j + 1] < h[j + 1] - c_tol or k[j + 1] < -k_tol:
-            raise ConstraintError(
-                f"constraint violated at t={(j + 1) * dt:.6g}", t=(j + 1) * dt
-            )
+            forcing += F @ np.stack([-excess, eps * excess - eps * decay * c_del])
+        kj, hj = k.item(lo), h.item(lo)
+        ks, hs = [], []
+        for bk, bh in zip(*forcing.tolist()):
+            kj, hj = p00 * kj + p01 * hj + bk, p10 * kj + p11 * hj + bh
+            ks.append(kj)
+            hs.append(hj)
+        new = slice(lo + 1, hi + 1)
+        k[new], h[new] = ks, hs
+        c[new] = h[new] + Lam * np.exp(Gamma * t[new])
+        bad = (c[new] < h[new] - c_tol) | (k[new] < -k_tol)
+        if bad.any():
+            j = lo + 1 + int(np.argmax(bad))
+            raise ConstraintError(f"constraint violated at t={j * dt:.6g}", t=j * dt)
 
     # the aggregate column is an independent window quadrature of the path,
     # not the ODE state, so its drift is a genuine diagnostic here too
@@ -366,17 +417,27 @@ def external_policy_residual(traj: Trajectory, params: ModelParams) -> float:
 
 
 def invariant_monitor(
-    traj: Trajectory, params: ModelParams, init: InitialState
+    traj: Trajectory,
+    params: ModelParams,
+    init: InitialState,
+    cm: dde.SampledPath | None = None,
 ) -> MonitorReport:
     """Check the exponential G law, the excess law, the lower consumption
-    bound, and the discounted budget identity along one trajectory."""
+    bound, and the discounted budget identity along one trajectory.
+
+    ``cm`` is the minimal plan on the trajectory's grid, at least as long
+    as the path; a run passes the one its feasibility check computed
+    (``FeasibilityReport.cm``), so c_m is integrated once per run.
+    Without it the monitor integrates c_m itself.
+    """
     der = validate(params)
     G_ref = traj.G[0] * np.exp(der.Gamma * traj.t)
     if traj.G[0] > 0.0:
         g_drift = np.abs(traj.G - G_ref) / G_ref
     else:
         g_drift = np.abs(traj.G - G_ref)
-    cm = dde.minimal_consumption(params, traj.history, float(traj.t[-1]), n=traj.history.n)
+    if cm is None:
+        cm = dde.minimal_consumption(params, traj.history, float(traj.t[-1]), n=traj.history.n)
     margin = traj.c - cm.values[: len(traj.c)]
     r = params.r
     disc = cumulative_trapezoid(np.exp(-r * traj.t) * traj.c, traj.dt)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from akhabit.cli import load_scenario, run, sweep
+from akhabit.cli import load_scenario, run, run_pipeline, sweep
 from akhabit.errors import ScenarioError
 
 REPO = Path(__file__).resolve().parent.parent
@@ -113,6 +113,23 @@ class TestRun:
         for name in ("plot_path.csv", "plot_gdrift.csv", "plot_residuals.csv"):
             lines = (tmp_path / "out" / name).read_text().splitlines()
             assert len(lines) > 100
+
+    def test_minimal_plan_integrated_once_per_run(self, tmp_path, monkeypatch):
+        # the feasibility check's c_m is shared with both path monitors
+        import akhabit.dde as dde
+
+        calls = []
+        original = dde.minimal_consumption
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(dde, "minimal_consumption", counting)
+        report = run_pipeline(load_scenario(write_scenario(tmp_path)), run_oracle=False)
+        assert report.status == "ok"
+        assert report.invariants["cm_margin_min"] >= 0.0
+        assert len(calls) == 1
 
     def test_deterministic_outputs(self, tmp_path):
         path = write_scenario(tmp_path)

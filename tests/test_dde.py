@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -147,3 +149,17 @@ class TestFeasibility:
         traj = simulate_integral_form(params, init, T=6.0)
         cm = minimal_consumption(params, init.history, T=6.0)
         assert np.all(traj.c - cm.values >= -1e-9)
+
+    def test_short_memory_tail_bound_does_not_overflow(self, params):
+        # tau = 1e-3 puts lambda0 near -9900: exp(-lambda0 * t) overflows by
+        # t = 0.1 while c_m underflows to 0, and their product used to be
+        # nan, which read as infeasible
+        short = dataclasses.replace(params, tau=1e-3)
+        init = InitialState(10.0, HistoryGrid.constant(1.0, tau=1e-3, n=200))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = check_feasibility(short, init, T=0.1)
+        assert rep.lambda0 < -9000.0
+        assert math.isfinite(rep.tail_bound) and rep.tail_bound >= 0.0
+        assert math.isfinite(rep.slack)
+        assert rep.feasible

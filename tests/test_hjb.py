@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,8 @@ from akhabit import (
     value_bound_coefficient,
     value_function,
 )
+from akhabit.hjb import inner_component
+from akhabit.quadrature import exp_weights, trap_dot
 from conftest import random_valid_params
 
 
@@ -66,6 +69,23 @@ class TestGValue:
         state = StateSample(10.0, HistoryGrid.constant(1.0, 1.0, 20))
         with pytest.raises(MismatchError):
             G_value(state, params)
+
+    @pytest.mark.parametrize("n", [3, 200, 1000])
+    @pytest.mark.parametrize("eta", [1.0, 12.0])
+    def test_inner_component_matches_per_node_loop(self, params, n, eta):
+        # eta*tau = 12 spreads the weights over five decades
+        p = dataclasses.replace(params, eta=eta)
+        rng = np.random.default_rng(n)
+        past = HistoryGrid(p.tau, 0.5 + rng.random(n + 1))
+        dt = past.dt
+        w_eta = exp_weights(p.eta, dt, n)
+        want = np.empty(n + 1)
+        want[0] = 0.0
+        for q in range(1, n + 1):
+            want[q] = p.eps * trap_dot(w_eta[: q + 1], past.values[n - q :], dt)
+        got = inner_component(past, p)
+        assert got[0] == 0.0
+        np.testing.assert_allclose(got[1:], want[1:], rtol=1e-13, atol=0.0)
 
     def test_scales_linearly(self, params):
         rng = np.random.default_rng(0)

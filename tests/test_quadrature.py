@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from akhabit.quadrature import window_integral, window_integrals
+from akhabit.quadrature import sliding_window_integrals, window_integral, window_integrals
 
 
 class TestWindowIntegrals:
@@ -23,3 +25,38 @@ class TestWindowIntegrals:
         want = np.array([window_integral(hist, comp, j, beta, dt) for j in range(len(comp))])
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+class TestSlidingWindowIntegrals:
+    @pytest.mark.parametrize(
+        "beta,rate",
+        [(1.0, -0.5), (40.0, -38.0), (-0.25, 0.1), (-0.25, -2.0), (-4.0, 0.0)],
+        ids=["habit", "habit-fast-decay", "discounted-growth", "discounted-decay", "steep-discount"],
+    )
+    @pytest.mark.parametrize("n", [2, 7, 200])
+    def test_matches_per_node_quadrature(self, params, beta, rate, n):
+        # the path is filled node by node as a recurrence fills it: each
+        # value is read before its node is written, so the newest node is
+        # still 0.  A path decaying almost as fast as the habit weights
+        # (eta = 40, c ~ e^(-38 t), as c_m does) makes the update subtract
+        # old terms far larger than the window's value, so the error is
+        # bounded against the sum of the absolute trapezoid terms instead.
+        # A steep discount (beta = -4) multiplies the rounding carried in the
+        # sum by e^4 per memory length; the re-anchor caps that growth at
+        # one memory length, and the bound allows for it
+        dt = params.tau / n
+        rng = np.random.default_rng(n)
+        hist = 1.0 + 0.3 * rng.random(n + 1)
+        hist[-1] = 1.6  # the path jumps at t = 0
+        steps = int(5.3 * n)  # several re-anchor blocks, the last one partial
+        target = 0.7 * np.exp(rate * dt * np.arange(steps + 1)) * (1.0 + 0.1 * rng.random(steps + 1))
+        comp = np.zeros(steps + 1)
+        comp[0] = target[0]
+        tol = 1e-13 * math.exp(max(0.0, -beta) * params.tau)
+        j = 0
+        for j, got in enumerate(sliding_window_integrals(hist, comp, beta, dt), start=1):
+            want = window_integral(hist, comp, j, beta, dt)
+            scale = window_integral(np.abs(hist), np.abs(comp), j, beta, dt)
+            assert abs(got - want) <= tol * scale, (j, got, want)
+            comp[j] = target[j]
+        assert j == steps

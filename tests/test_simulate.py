@@ -7,6 +7,7 @@ from akhabit import (
     HistoryGrid,
     InitialState,
     ModelParams,
+    check_feasibility,
     external_policy_residual,
     external_residual_profile,
     initial_capital_threshold,
@@ -16,6 +17,7 @@ from akhabit import (
     simulate_lambda_form,
     validate,
 )
+from akhabit.simulate import CSV_CHUNK, write_csv
 
 
 def rel_sup(a, b):
@@ -212,3 +214,37 @@ class TestTrajectoryOutput:
         # 17 significant digits survive the round trip
         back = np.array([float(x) for x in lines[5].split(",")])
         assert back[2] == traj.c[4]
+
+    def test_write_csv_matches_per_row_format(self, tmp_path):
+        # the chunked row template must write exactly what formatting each
+        # value with f"{x:.17g}" did, including signed zeros, infinities,
+        # nan, subnormals and extreme magnitudes, across a partial chunk
+        rows = 2 * CSV_CHUNK + 37
+        rng = np.random.default_rng(3)
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310, 1e300, -1e-300, 1.0 / 3.0]
+        columns = []
+        for i in range(3):
+            col = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+            col[i : i + len(special)] = special
+            columns.append(col)
+        columns.append(np.arange(rows) * 0.1)
+        header = "a,b,c,t"
+        new = tmp_path / "new.csv"
+        write_csv(new, header, tuple(columns))
+        old = tmp_path / "old.csv"
+        with open(old, "w", newline="") as fh:
+            fh.write(header + "\n")
+            for row in zip(*columns):
+                fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        assert new.read_bytes() == old.read_bytes()
+
+
+class TestSharedMinimalPlan:
+    def test_monitor_with_shared_cm_is_identical(self, params, init):
+        traj = simulate_integral_form(params, init, T=8.0)
+        cm = check_feasibility(params, init, T=8.0).cm
+        shared = invariant_monitor(traj, params, init, cm=cm)
+        own = invariant_monitor(traj, params, init)
+        assert shared.cm_margin_min == own.cm_margin_min
+        assert shared.budget_residual == own.budget_residual
+        assert np.array_equal(shared.g_drift, own.g_drift)
