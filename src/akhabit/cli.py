@@ -99,19 +99,33 @@ class Scenario:
 
         The simulation horizon must cover one memory length tau, and when
         the oracle is on its step must divide tau over a horizon beyond it.
+        Every grid the run integrates the minimal plan on must keep its
+        implicit weight eps*dt/2 below 1, or ``dde.minimal_consumption``
+        has no step to take.
         """
         if not self.horizon >= self.params.tau:
             raise ScenarioError(
                 f"horizon {self.horizon:g} must be at least one memory length tau = {self.params.tau:g}"
             )
+        grids = [self.numerics.n]
         if self.numerics.oracle:
             try:
-                oracle.grid_cells(self.params.tau, self.oracle_horizon, self.numerics.oracle_m)
+                grids.append(
+                    oracle.grid_cells(self.params.tau, self.oracle_horizon, self.numerics.oracle_m)
+                )
             except DomainError as exc:
                 raise ScenarioError(
                     f"oracle grid (oracle_horizon {self.oracle_horizon:g}, oracle_m "
                     f"{self.numerics.oracle_m}): {exc}"
                 ) from exc
+        for n in grids:
+            # the same arithmetic as dde.minimal_consumption's step check
+            weight = self.params.eps * (self.params.tau / n) / 2.0
+            if weight >= 1.0:
+                raise ScenarioError(
+                    f"grid of {n} cells per tau is too coarse for the minimal plan: "
+                    f"eps*tau/(2n) = {weight:.3g} >= 1"
+                )
 
 
 _ALLOWED_CALLS = {"exp": np.exp, "sin": np.sin, "cos": np.cos, "sqrt": np.sqrt, "abs": np.abs}
@@ -205,6 +219,8 @@ def load_scenario(path) -> Scenario:
         )
     except KeyError as exc:
         raise ScenarioError(f"params block missing {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"params block: {exc}") from exc
     if pblock:
         raise ScenarioError(f"unknown keys in params block: {sorted(pblock)}")
 
@@ -216,12 +232,16 @@ def load_scenario(path) -> Scenario:
     unknown = set(nblock) - known
     if unknown:
         raise ScenarioError(f"unknown keys in numerics block: {sorted(unknown)}")
-    for key in ("n", "oracle_m", "trials", "ascent_iters", "seed"):
-        if key in nblock:
-            nblock[key] = int(nblock[key])
-    for key in ("horizon", "oracle_horizon", "margin"):
-        if key in nblock and nblock[key] is not None:
-            nblock[key] = float(nblock[key])
+    try:
+        for key in ("n", "oracle_m", "trials", "ascent_iters", "seed"):
+            if key in nblock:
+                nblock[key] = int(nblock[key])
+        for key in ("horizon", "oracle_horizon", "margin"):
+            if key in nblock and nblock[key] is not None:
+                nblock[key] = float(nblock[key])
+        tolerances = {name: float(value) for name, value in tolerances.items()}
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"numerics block: {exc}") from exc
     numerics = Numerics(**nblock, tolerances=tolerances)
     if numerics.n < 2 or numerics.oracle_m < 2 or numerics.trials < 0:
         raise ScenarioError("numerics entries must be positive")
@@ -231,6 +251,8 @@ def load_scenario(path) -> Scenario:
         history = _build_history(iblock.pop("history"), params.tau, int(numerics.n))
     except KeyError as exc:
         raise ScenarioError(f"initial block missing {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"initial block: {exc}") from exc
     if iblock:
         raise ScenarioError(f"unknown keys in initial block: {sorted(iblock)}")
     initial = InitialState(k0=k0, history=history)

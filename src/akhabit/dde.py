@@ -16,9 +16,10 @@ discounted cost of c_m:
 The integrator works on the renewal form, not the differentiated delay
 equation: the integral form is self-starting from a merely integrable
 history and is indifferent to the jump of the concatenation at t = 0.
-The windows that straddle t = 0 (nodes j <= n) are split trapezoid sums;
-later windows come from one sliding sum, updated in O(1) per node and
-re-anchored by an exact dot product once per memory block of n nodes.
+The renewal equation is solved by the method of steps: once a memory
+block of n nodes is known, every window of the next block is known up
+to that block's own nodes, so each block costs one correlation plus an
+O(1) running sum per node (``quadrature.sliding_window_integrals``).
 A run computes c_m once, here, and shares it with the path monitors.
 """
 
@@ -86,9 +87,11 @@ def minimal_consumption(
     At each node the trapezoid window makes c_m(t_j) appear on both sides
     with self-weight eps*dt/2; the scalar linear equation is solved
     exactly.  The window split at t = 0 keeps the history's left limit and
-    c_m(0) (which generally differ) on their own segments.  Past the
-    first memory length the known part of the window is a sliding sum,
-    O(1) per node (``quadrature.sliding_window_integrals``).
+    c_m(0) (which generally differ) on their own segments.  The known part
+    of each window comes block by block from
+    ``quadrature.sliding_window_integrals``: one correlation over the
+    previous memory length per block, plus a running sum of the block's
+    own nodes.
     """
     if T < params.tau:
         raise ValueError(f"horizon T={T} must be at least one memory length tau={params.tau}")

@@ -14,17 +14,16 @@ the order-2 convergence of everything built on top.
 
 Sequential recurrences (the renewal equation for the minimal plan, the
 implicit step of the integral-form simulation) need the window at node
-j before c(t_j) is known.  ``sliding_window_integrals`` serves them in
-O(1) per node: the split windows j <= n go through ``window_integral``;
-past them the full window sum S (every node but the unknown newest one)
-updates as
+j before c(t_j) is known.  ``sliding_window_integrals`` serves them by
+the method of steps, one memory block of n nodes at a time: the part of
+every window j in (lo, lo + n] on nodes <= lo comes from one correlation
+(``window_integrals``, with the previous memory length as history), and
+the block's own nodes lo+1..j-1 from a running sum
 
-    S <- exp(-beta*dt) * (S + c_{j-1} - w_0 * c_{j-1-n}),
+    U <- exp(-beta*dt) * (U + dt*c_{j-1}),     U = 0 at j = lo + 1,
 
-with w_0 = exp(-beta*tau), and the trapezoid value is dt*(S - w_0*c_{j-n}/2).
-For beta < 0 each update multiplies the rounding already in S by
-exp(|beta|*dt), so S is re-anchored by an exact dot product once per
-block of n nodes, which bounds the drift by exp(|beta|*tau) roundings.
+that only adds: the oldest node of each window lies in the correlated
+part, so no old term is subtracted and no cancellation amplifies rounding.
 """
 
 from __future__ import annotations
@@ -69,6 +68,8 @@ def window_integral(
 ) -> float:
     """I_beta at node t_j = j*dt for the concatenated path (hist, comp).
 
+    The per-node reference that ``window_integrals`` and
+    ``sliding_window_integrals`` are tested against; no solver calls it.
     ``hist`` holds n+1 samples on [-tau, 0] whose last entry is the left
     limit at 0; ``comp`` holds the computed samples on [0, T] starting with
     the right value at 0.  For j >= n the window lies inside [0, T] and is
@@ -113,24 +114,22 @@ def sliding_window_integrals(hist: np.ndarray, comp: np.ndarray, beta: float, dt
 
     Each value is taken after comp[:j] is final and before comp[j] is
     written (the caller's unknown at node j enters through the endpoint
-    weight dt/2, which it adds itself); comp[j] itself must still hold 0
-    when j <= n.
+    weight dt/2, which it adds itself); nothing at or past node j is read.
     """
     n = len(hist) - 1
-    weights = exp_weights(beta, dt, n)
-    for j in range(1, min(n, len(comp) - 1) + 1):
-        yield window_integral(hist, comp, j, beta, dt, weights)
-    head = weights[:n]
-    w0 = float(weights[0])
+    steps = len(comp) - 1
     decay = math.exp(-beta * dt)
-    total = 0.0
     item = comp.item  # Python floats keep the per-node arithmetic cheap
-    for j in range(n + 1, len(comp)):
-        if (j - 1) % n == 0:
-            total = float(head @ comp[j - n : j])
-        else:
-            total = decay * (total + item(j - 1) - w0 * item(j - 1 - n))
-        yield dt * (total - 0.5 * w0 * item(j - n))
+    for lo in range(0, steps, n):
+        # the window part on nodes <= lo; the path is continuous at lo past
+        # the first block, so node lo gets its full weight there
+        path = np.zeros(min(n, steps - lo) + 1)
+        path[0] = comp[lo]
+        known = window_integrals(hist if lo == 0 else comp[lo - n : lo + 1], path, beta, dt)
+        inner = 0.0
+        for j, value in enumerate(known.tolist()[1:], start=lo + 1):
+            yield value + inner
+            inner = decay * (inner + dt * item(j))
 
 
 def cumulative_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:

@@ -12,9 +12,9 @@ Two integrators produce the path:
   trapezoid at every node (the current consumption enters both windows
   linearly through the endpoint weight, and capital enters the policy
   through the one-step update, so each node is one scalar linear solve).
-  The windows that straddle t = 0 are split trapezoid sums; later ones
-  are O(1) sliding sums re-anchored once per memory block
-  (``quadrature.sliding_window_integrals``);
+  The windows come one memory block at a time by the method of steps:
+  one correlation over the previous block, plus a running sum of the
+  current block's nodes (``quadrature.sliding_window_integrals``);
 
 * the lambda form takes the exponential excess law as given and evolves
   the habit by its differentiated delay law
@@ -244,9 +244,11 @@ def simulate_integral_form(
 
     At each node the habit and the discounted window are trapezoid sums
     over the stored concatenated path (split at t = 0 for the first n
-    nodes, O(1) sliding sums afterwards); the unknown c(t_j) enters both
-    through the endpoint weight and enters capital through the one-step
-    update, so it solves a scalar linear equation.  Capital advances with
+    nodes), taken block by block: one correlation over the previous
+    memory length per block, plus a running sum of the block's own nodes
+    (``quadrature.sliding_window_integrals``).  The unknown c(t_j) enters
+    both through the endpoint weight and enters capital through the
+    one-step update, so it solves a scalar linear equation.  Capital advances with
     a 4-stage explicit step treating c as linear over the step.
     """
     der, init, hist, Lam, degenerate = _prepare(params, init, n)
@@ -283,7 +285,7 @@ def simulate_integral_form(
     eps = params.eps
     h_gain, k_gain, W_gain = 1.0 - alpha / b, alpha * kappa0, alpha * q
     k_prev, c_prev = float(k[0]), float(c[0])
-    # c[j] is still 0 when its windows are taken, so they are the known parts
+    # the windows at node j read only c[:j], so they are the known parts
     h_windows = sliding_window_integrals(hv, c, params.eta, dt)
     W_windows = sliding_window_integrals(hv, c, -r, dt)
     W_known = np.empty(steps + 1)

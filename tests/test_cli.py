@@ -209,6 +209,48 @@ class TestRun:
         assert code == 3
         assert out.strip().splitlines()[-1].startswith("RESULT error parse:scenario")
 
+    @pytest.mark.parametrize(
+        "block,entry",
+        [("numerics", {"n": "abc"}), ("params", {"eps": "abc"}), ("initial", {"k0": "abc"})],
+        ids=["n", "eps", "k0"],
+    )
+    def test_non_numeric_scalar_is_exit_3(self, tmp_path, capsys, block, entry):
+        path = write_scenario(tmp_path, **{block: entry})
+        code = run(path, tmp_path / "out", no_oracle=True)
+        out = capsys.readouterr().out
+        assert code == 3
+        assert out.strip().splitlines()[-1].startswith("RESULT error parse:scenario")
+        assert not (tmp_path / "out").exists()
+
+    def test_grid_too_coarse_for_minimal_plan_is_exit_3(self, tmp_path, capsys):
+        # eps*tau/(2n) = 2.25: the minimal plan's implicit step has no
+        # solution, which is refused at load time, before the spectral stage
+        path = write_scenario(
+            tmp_path, params={"eps": 0.9, "tau": 10.0}, numerics={"n": 2, "horizon": 80.0}
+        )
+        code = run(path, tmp_path / "out", no_oracle=True)
+        out = capsys.readouterr().out
+        assert code == 3
+        assert out.strip().splitlines()[-1].startswith("RESULT error parse:scenario")
+        assert not (tmp_path / "out").exists()
+        # the bound is strict: eps*tau/(2n) = 1 exactly is refused, 0.8 loads
+        def at(n):
+            return write_scenario(
+                tmp_path, params={"eps": 1.0, "tau": 8.0}, numerics={"n": n, "horizon": 64.0}
+            )
+
+        with pytest.raises(ScenarioError):
+            load_scenario(at(4))
+        assert load_scenario(at(5)).numerics.n == 5
+        # with the oracle on, its grid (4 cells per tau here) is held to it too
+        coarse_oracle = {"n": 200, "horizon": 64.0, "oracle_m": 40}
+        params = {"eps": 1.0, "tau": 8.0}
+        with pytest.raises(ScenarioError):
+            load_scenario(write_scenario(tmp_path, params=params, numerics=coarse_oracle))
+        load_scenario(
+            write_scenario(tmp_path, params=params, numerics={**coarse_oracle, "oracle": False})
+        )
+
     def test_failed_check_is_exit_1(self, tmp_path, capsys):
         # an absurdly tight drift tolerance forces a check failure
         path = write_scenario(

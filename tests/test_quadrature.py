@@ -60,3 +60,32 @@ class TestSlidingWindowIntegrals:
             assert abs(got - want) <= tol * scale, (j, got, want)
             comp[j] = target[j]
         assert j == steps
+
+
+class TestBlockKernel:
+    @pytest.mark.parametrize("beta", [1.0, -0.25], ids=["habit", "discounted"])
+    @pytest.mark.parametrize("n", [2, 7, 200])
+    def test_never_reads_the_yielded_node_or_later(self, params, beta, n):
+        # comp[j:] holds nan before each next(), so any read at or past the
+        # node being yielded would poison the value; the run passes the
+        # block edges j = n, n + 1 and 2n and ends in a partial block
+        dt = params.tau / n
+        rng = np.random.default_rng(n)
+        hist = 1.0 + 0.3 * rng.random(n + 1)
+        hist[-1] = 1.6  # the path jumps at t = 0
+        steps = 5 * n + max(1, n // 3)
+        assert steps % n != 0
+        target = 0.7 + 0.1 * rng.random(steps + 1)
+        comp = np.full(steps + 1, np.nan)
+        comp[0] = target[0]
+        nodes = np.arange(steps + 1)
+        windows = sliding_window_integrals(hist, comp, beta, dt)
+        for j in range(1, steps + 1):
+            comp[j:] = np.nan
+            got = next(windows)
+            want = window_integral(hist, np.where(nodes < j, comp, 0.0), j, beta, dt)
+            assert math.isfinite(got), j
+            assert abs(got - want) <= 1e-13 * abs(want), (j, got, want)
+            comp[j] = target[j]
+        with pytest.raises(StopIteration):
+            next(windows)

@@ -8,6 +8,7 @@ from them only by rounding.
 
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from akhabit import (
     initial_capital_threshold,
     minimal_consumption,
 )
+from akhabit import quadrature
+from akhabit.cli import load_scenario
 from akhabit.hjb import aggregate, habit_weight
 from akhabit.quadrature import exp_weights, steps_for, trap_dot, window_integral
 from akhabit.simulate import _prepare, simulate_integral_form, simulate_lambda_form
@@ -222,3 +225,39 @@ def test_lambda_form_constraint_error_at_the_same_node(n):
     assert round(want.value.t / BASELINE.tau * n) % n != 0  # not on a block edge
     assert got.value.t == want.value.t
     assert str(got.value) == str(want.value)
+
+
+def test_solvers_never_call_the_per_node_window(monkeypatch):
+    calls = []
+    per_node = quadrature.window_integral
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return per_node(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "window_integral", counted)
+    hist = jump_history(BASELINE, 7)
+    minimal_consumption(BASELINE, hist, HORIZON)
+    simulate_integral_form(BASELINE, InitialState(10.0, hist), HORIZON)
+    assert calls == []
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+@pytest.mark.parametrize("name", ["baseline.yaml", "low_curvature.yaml"])
+def test_fine_grid_over_eight_memory_lengths_matches_per_node_loops(name):
+    # n = 800 over 8 tau: 8 blocks of 800 nodes, where a drifting window
+    # sum would have the most steps to drift over
+    scn = load_scenario(SCENARIOS / name)
+    params, init = scn.params, scn.initial.resample(800)
+    T = 8.0 * params.tau
+    want = reference_minimal_consumption(params, init.history, T)
+    got = minimal_consumption(params, init.history, T).values
+    assert got.shape == want.shape
+    assert gap(want, got) <= 1e-13
+    want = reference_integral_form(params, init, T)
+    traj = simulate_integral_form(params, init, T)
+    for ref, got in zip(want, (traj.k, traj.c, traj.h, traj.G)):
+        assert got.shape == ref.shape
+        assert gap(ref, got) <= 1e-13
