@@ -36,7 +36,7 @@ from .errors import (
     OptimalityViolation,
     ScenarioError,
 )
-from .hjb import G_value, StateSample, feedback, hjb_residual, value_function
+from .hjb import StateSample, state_values, value_function
 from .model import DEFAULT_GRID, HistoryGrid, InitialState, ModelParams, validate
 from .spectral import spectral_report
 
@@ -366,7 +366,18 @@ def run_pipeline(scn: Scenario, run_oracle: bool = True, seed: int | None = None
         report.status, report.code = "reject", "infeasible:capital"
         return report
 
-    Lam = simulate.lambda_constant(scn.params, scn.initial.resample(num.n))
+    # the integral form computes Lambda on the run grid, so it runs first
+    # and Lambda is not computed twice; a failure of it is held back and
+    # reported in the order of the checks, after Lambda and the hjb section
+    failure = None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            traj = simulate.simulate_integral_form(scn.params, scn.initial, scn.horizon, n=num.n)
+        Lam = traj.Lambda
+    except AkHabitError as exc:
+        failure = exc
+        Lam = simulate.lambda_constant(scn.params, scn.initial.resample(num.n))
     if Lam <= 0.0 or abs(Lam) <= 1e-10 * (1.0 + scn.initial.k0):
         report.status, report.code = "reject", "lambda:nonpositive"
         report.closed_loop = {
@@ -380,17 +391,13 @@ def run_pipeline(scn: Scenario, run_oracle: bool = True, seed: int | None = None
     # a single state evaluation is cheap, so give the dual-quadrature
     # cross-check inside G_value a fine window regardless of the run grid
     state0 = StateSample(scn.initial.k0, scn.initial.history.resample(max(num.n, 1000)))
-    report.hjb = {
-        "G": G_value(state0, scn.params),
-        "v": value_function(state0, scn.params),
-        "c_feedback": feedback(state0, scn.params),
-        "hjb_residual": hjb_residual(state0, scn.params),
-    }
+    report.hjb = state_values(state0, scn.params)
 
     try:
+        if failure is not None:
+            raise failure
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            traj = simulate.simulate_integral_form(scn.params, scn.initial, scn.horizon, n=num.n)
             traj_l = simulate.simulate_lambda_form(scn.params, scn.initial, scn.horizon, n=num.n)
     except ConstraintError as exc:
         report.status, report.code = "reject", exc.code
@@ -414,11 +421,11 @@ def run_pipeline(scn: Scenario, run_oracle: bool = True, seed: int | None = None
     mon = simulate.invariant_monitor(traj, scn.params, scn.initial, cm=feas.cm)
     mon_l = simulate.invariant_monitor(traj_l, scn.params, scn.initial, cm=feas.cm)
     cross = max(
-        float(np.max(np.abs(a - b)) / np.max(np.abs(a)))
+        (abs(a - b).max() / abs(a).max()).item()
         for a, b in ((traj.k, traj_l.k), (traj.c, traj_l.c), (traj.h, traj_l.h))
     )
-    ext = float(np.max(traj.external_residual))
-    cm_scale = max(1.0, float(np.max(traj.c)))
+    ext = traj.external_residual.max().item()
+    cm_scale = max(1.0, traj.c.max().item())
     report.invariants = {
         "g_drift_integral": mon.g_drift_max,
         "g_drift_lambda": mon_l.g_drift_max,

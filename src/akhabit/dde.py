@@ -18,9 +18,16 @@ equation: the integral form is self-starting from a merely integrable
 history and is indifferent to the jump of the concatenation at t = 0.
 The renewal equation is solved by the method of steps: once a memory
 block of n nodes is known, every window of the next block is known up
-to that block's own nodes, so each block costs one correlation plus an
-O(1) running sum per node (``quadrature.sliding_window_integrals``).
-A run computes c_m once, here, and shares it with the path monitors.
+to that block's own nodes (one correlation, ``quadrature.block_windows``).
+Those nodes enter through the running sum U of ``quadrature``, and with
+c_m = g*(known + U), g = eps/(1 - eps*dt/2), the sum obeys the linear
+recurrence
+
+    U <- p*U + exp(-eta*dt)*g*dt*known,     p = exp(-eta*dt)*(1 + g*dt) > 0,
+
+so a whole block is one prefix scan (``quadrature.linear_scan``, cut into
+sub-blocks whose powers of p stay within e^(+-SCAN_SPAN)).  A run computes
+c_m once, here, and shares it with the path monitors.
 """
 
 from __future__ import annotations
@@ -33,11 +40,12 @@ import numpy as np
 from .errors import StepError
 from .model import HistoryGrid, InitialState, ModelParams
 from .quadrature import (
+    block_windows,
     cumulative_trapezoid,
-    exp_weights,
-    sliding_window_integrals,
+    linear_scan,
     steps_for,
     trap_dot,
+    window_kernel,
 )
 from .spectral import real_root
 
@@ -87,11 +95,10 @@ def minimal_consumption(
     At each node the trapezoid window makes c_m(t_j) appear on both sides
     with self-weight eps*dt/2; the scalar linear equation is solved
     exactly.  The window split at t = 0 keeps the history's left limit and
-    c_m(0) (which generally differ) on their own segments.  The known part
-    of each window comes block by block from
-    ``quadrature.sliding_window_integrals``: one correlation over the
-    previous memory length per block, plus a running sum of the block's
-    own nodes.
+    c_m(0) (which generally differ) on their own segments.  Block by
+    block, the part of each window on earlier blocks comes from one
+    correlation over the previous memory length, and the block's own
+    nodes from one prefix scan of the running sum (module docstring).
     """
     if T < params.tau:
         raise ValueError(f"horizon T={T} must be at least one memory length tau={params.tau}")
@@ -104,13 +111,19 @@ def minimal_consumption(
             f"eps*dt/2 = {self_weight:.3g} >= 1; raise n above {params.eps * params.tau / 2:.0f}"
         )
     steps = steps_for(T, dt)
-    weights = exp_weights(params.eta, dt, n)
+    kernel = window_kernel(params.eta, dt, n)
     comp = np.zeros(steps + 1)
     hv = hist.values
-    comp[0] = params.eps * trap_dot(weights, hv, dt)
-    windows = sliding_window_integrals(hv, comp, params.eta, dt)
-    for j, window in zip(range(1, steps + 1), windows):
-        comp[j] = params.eps * window / (1.0 - self_weight)
+    comp[0] = params.eps * trap_dot(kernel.weights, hv, dt)
+    g = params.eps / (1.0 - self_weight)
+    log_p = -params.eta * dt + math.log1p(g * dt)
+    gain = math.exp(-params.eta * dt) * g * dt
+    for lo in range(0, steps, n):
+        hi = min(lo + n, steps)
+        known = block_windows(hv, comp, lo, hi - lo, kernel)
+        # U = 0 at lo + 1; the scan gives U at lo+2..hi
+        comp[lo + 1] = g * known[0]
+        comp[lo + 2 : hi + 1] = g * (known[1:] + linear_scan(log_p, gain * known[:-1], 0.0))
     return SampledPath(t=np.arange(steps + 1) * dt, values=comp)
 
 

@@ -60,14 +60,18 @@ def habit_weight(params: ModelParams) -> float:
     return params.eps * math.exp(-b * params.tau) / b
 
 
+def _habit(history: HistoryGrid, params: ModelParams) -> float:
+    """Habit h of a consumption window re-based to [-tau, 0]."""
+    return params.eps * exp_integral(history.values, params.eta, history.dt)
+
+
 def _window_functionals(history: HistoryGrid, params: ModelParams) -> tuple[float, float]:
     """(habit h, discounted window W) of a consumption window re-based to [-tau, 0].
 
     W = integral over [t-tau, t] of exp(r (t-s)) c~(s) ds, re-based.
     """
-    h = params.eps * exp_integral(history.values, params.eta, history.dt)
     W = exp_integral(history.values, -params.r, history.dt)
-    return h, W
+    return _habit(history, params), W
 
 
 def aggregate(k: float, history: HistoryGrid, params: ModelParams) -> float:
@@ -141,8 +145,7 @@ def feedback(state: StateSample, params: ModelParams) -> float:
     G = G_value(state, params)
     if G <= 0.0:
         raise DomainError(f"state outside the feedback region: G = {G:.6g} <= 0", code="domain:G")
-    h, _ = _window_functionals(state.past_c, params)
-    return h + der.alpha * G
+    return _habit(state.past_c, params) + der.alpha * G
 
 
 def _hamiltonian_pieces(
@@ -152,7 +155,7 @@ def _hamiltonian_pieces(
     G = G_value(state, params)
     if G <= 0.0:
         raise DomainError(f"state outside the value region: G = {G:.6g} <= 0", code="domain:G")
-    h, _ = _window_functionals(state.past_c, params)
+    h = _habit(state.past_c, params)
     v = der.nu * G ** (1.0 - params.gamma)
     bstar_dv = -(1.0 - params.gamma) * der.nu * G ** (-params.gamma)
     return G, h, v, bstar_dv
@@ -168,13 +171,35 @@ def hjb_residual(state: StateSample, params: ModelParams) -> float:
     the quadrature.
     """
     der = validate(params)
+    return _residual(params, der, *_hamiltonian_pieces(state, params, der))
+
+
+def _residual(
+    params: ModelParams, der: DerivedConstants, G: float, h: float, v: float, bstar_dv: float
+) -> float:
     gamma = params.gamma
-    G, h, v, bstar_dv = _hamiltonian_pieces(state, params, der)
     drift_pairing = (1.0 - gamma) * der.nu * G ** (-gamma) * (h + params.r * G)
     control_term = (gamma / (1.0 - gamma)) * (-bstar_dv) ** ((gamma - 1.0) / gamma)
     habit_pairing = h * bstar_dv
     hamiltonian = drift_pairing + control_term + habit_pairing
     return params.rho * v - hamiltonian
+
+
+def state_values(state: StateSample, params: ModelParams) -> dict[str, float]:
+    """G, v, the feedback consumption and the HJB residual of one state.
+
+    The values of ``G_value``, ``value_function``, ``feedback`` and
+    ``hjb_residual``, bitwise, from one G evaluation and one habit
+    quadrature instead of four and three.
+    """
+    der = validate(params)
+    G, h, v, bstar_dv = _hamiltonian_pieces(state, params, der)
+    return {
+        "G": G,
+        "v": v,
+        "c_feedback": h + der.alpha * G,
+        "hjb_residual": _residual(params, der, G, h, v, bstar_dv),
+    }
 
 
 def current_value_hamiltonian(state: StateSample, params: ModelParams, c: float) -> float:

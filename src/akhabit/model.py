@@ -21,7 +21,7 @@ special-cased so the utility scale nu has a single formula.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -132,6 +132,9 @@ class HistoryGrid:
 
     tau: float
     values: np.ndarray
+    # resample(n) results by n: the history is immutable, and a run asks
+    # for its fine-grid copy once per pipeline (every row of a sweep)
+    _resampled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -168,8 +171,10 @@ class HistoryGrid:
         """Same piecewise-linear history on an n-point-per-tau grid."""
         if n == self.n:
             return self
-        grid = -self.tau + np.arange(n + 1) * (self.tau / n)
-        return HistoryGrid(self.tau, np.interp(grid, self.grid, self.values))
+        if n not in self._resampled:
+            grid = -self.tau + np.arange(n + 1) * (self.tau / n)
+            self._resampled[n] = HistoryGrid(self.tau, np.interp(grid, self.grid, self.values))
+        return self._resampled[n]
 
     def is_positive_somewhere(self) -> bool:
         """Discrete reading of 'positive on a set of positive measure'."""

@@ -14,21 +14,33 @@ the order-2 convergence of everything built on top.
 
 Sequential recurrences (the renewal equation for the minimal plan, the
 implicit step of the integral-form simulation) need the window at node
-j before c(t_j) is known.  ``sliding_window_integrals`` serves them by
-the method of steps, one memory block of n nodes at a time: the part of
-every window j in (lo, lo + n] on nodes <= lo comes from one correlation
-(``window_integrals``, with the previous memory length as history), and
-the block's own nodes lo+1..j-1 from a running sum
+j before c(t_j) is known.  They are solved by the method of steps, one
+memory block of n nodes at a time: the part of every window j in
+(lo, lo + n] on nodes <= lo is known once the previous block is, and
+``block_windows`` returns all of them from one correlation (the previous
+memory length as history) against a kernel the solver builds once per
+call (``window_kernel``).  The block's own nodes lo+1..j-1 enter through
+a running sum
 
     U <- exp(-beta*dt) * (U + dt*c_{j-1}),     U = 0 at j = lo + 1,
 
 that only adds: the oldest node of each window lies in the correlated
 part, so no old term is subtracted and no cancellation amplifies rounding.
+
+Where the in-block recurrence is linear with a constant positive factor,
+y <- p*y + b, ``linear_scan`` solves a whole block at once as a prefix
+scan (Blelloch, "Prefix sums and their applications", CMU-CS-90-190,
+1990): y_i = p^i y_0 + p^(i-1) * (sum over l < i of b_l p^-l), with the
+powers exp(i log p) from one exponential and the sum from one cumsum.  The
+block is cut into sub-blocks of L steps with |log p| * L <= SCAN_SPAN,
+so no power leaves e^(+-SCAN_SPAN): an uncut block at eta*tau = 800
+would form e^800, which overflows.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,7 +99,32 @@ def window_integral(
     return left + right
 
 
-def window_integrals(hist: np.ndarray, comp: np.ndarray, beta: float, dt: float) -> np.ndarray:
+class WindowKernel(NamedTuple):
+    """One window's weights on the grid, built once per solver call."""
+
+    beta: float
+    dt: float
+    weights: np.ndarray  # exp_weights(beta, dt, n)
+    w: np.ndarray  # dt * weights
+    kern: np.ndarray  # w with the trapezoid halving at both ends
+
+
+def window_kernel(beta: float, dt: float, n: int) -> WindowKernel:
+    """The ``WindowKernel`` of I_beta on a memory length of n steps."""
+    weights = exp_weights(beta, dt, n)
+    w = dt * weights
+    kern = w.copy()
+    kern[[0, -1]] *= 0.5
+    return WindowKernel(beta, dt, weights, w, kern)
+
+
+def window_integrals(
+    hist: np.ndarray,
+    comp: np.ndarray,
+    beta: float,
+    dt: float,
+    kernel: WindowKernel | None = None,
+) -> np.ndarray:
     """``window_integral`` at every node j = 0..len(comp)-1, in one correlation.
 
     The history's left limit and the computed start share the t = 0 slot
@@ -95,17 +132,38 @@ def window_integrals(hist: np.ndarray, comp: np.ndarray, beta: float, dt: float)
     trapezoid-halved kernel.  Window j <= n holds that slot at kernel
     index n - j, where each one-sided value should carry only the half
     weight of its own piece (none when its piece is the empty interval),
-    so the excess is subtracted afterwards.
+    so the excess is subtracted afterwards.  ``kernel`` may pass a
+    precomputed ``window_kernel(beta, dt, n)``.
     """
     n = len(hist) - 1
-    w = dt * exp_weights(beta, dt, n)
-    kern = w.copy()
-    kern[[0, -1]] *= 0.5
+    kernel = kernel or window_kernel(beta, dt, n)
     path = np.concatenate([hist[:-1], [hist[-1] + comp[0]], comp[1:]])
-    out = np.correlate(path, kern, mode="valid")
+    out = np.correlate(path, kernel.kern, mode="valid")
     j = np.arange(min(n, len(comp) - 1) + 1)
-    out[j] -= 0.5 * w[n - j] * (np.where(j > 0, hist[-1], 0.0) + np.where(j < n, comp[0], 0.0))
+    out[j] -= 0.5 * kernel.w[n - j] * (np.where(j > 0, hist[-1], 0.0) + np.where(j < n, comp[0], 0.0))
     return out
+
+
+def block_windows(
+    hist: np.ndarray,
+    comp: np.ndarray,
+    lo: int,
+    m: int,
+    kernel: WindowKernel,
+) -> np.ndarray:
+    """The part on nodes <= lo of the windows at j = lo+1..lo+m, m <= n.
+
+    One ``window_integrals`` call with the memory length before lo as
+    history (``hist`` for the first block, ``comp[lo-n:lo+1]`` later) and
+    the path ``[comp[lo], 0, ..., 0]``.  Past the first block the path is
+    continuous at lo, so node lo gets its full weight.  Reads nothing of
+    comp past lo.
+    """
+    n = len(kernel.w) - 1
+    path = np.zeros(m + 1)
+    path[0] = comp[lo]
+    prev = hist if lo == 0 else comp[lo - n : lo + 1]
+    return window_integrals(prev, path, kernel.beta, kernel.dt, kernel)[1:]
 
 
 def sliding_window_integrals(hist: np.ndarray, comp: np.ndarray, beta: float, dt: float):
@@ -115,21 +173,46 @@ def sliding_window_integrals(hist: np.ndarray, comp: np.ndarray, beta: float, dt
     Each value is taken after comp[:j] is final and before comp[j] is
     written (the caller's unknown at node j enters through the endpoint
     weight dt/2, which it adds itself); nothing at or past node j is read.
+    The solvers run the same ``block_windows`` and in-block running sum
+    inline; this generator states the contract one node at a time.
     """
     n = len(hist) - 1
     steps = len(comp) - 1
     decay = math.exp(-beta * dt)
-    item = comp.item  # Python floats keep the per-node arithmetic cheap
+    kernel = window_kernel(beta, dt, n)
     for lo in range(0, steps, n):
-        # the window part on nodes <= lo; the path is continuous at lo past
-        # the first block, so node lo gets its full weight there
-        path = np.zeros(min(n, steps - lo) + 1)
-        path[0] = comp[lo]
-        known = window_integrals(hist if lo == 0 else comp[lo - n : lo + 1], path, beta, dt)
+        known = block_windows(hist, comp, lo, min(n, steps - lo), kernel).tolist()
         inner = 0.0
-        for j, value in enumerate(known.tolist()[1:], start=lo + 1):
+        for j, value in enumerate(known, lo + 1):
             yield value + inner
-            inner = decay * (inner + dt * item(j))
+            inner = decay * (inner + dt * comp.item(j))
+
+
+#: largest |log p| * L of one ``linear_scan`` sub-block of L steps, so every
+#: power it forms lies in [e^-SCAN_SPAN, e^SCAN_SPAN]
+SCAN_SPAN = 8.0
+
+
+def linear_scan(log_p: float, b: np.ndarray, y0: float) -> np.ndarray:
+    """y_1..y_m of y_i = p*y_(i-1) + b_(i-1) from y_0 = y0, with p = exp(log_p).
+
+    A prefix scan, one sub-block of L <= max(1, SCAN_SPAN / |log p|) steps
+    at a time: y_(s+i) = p^i y_s + p^(i-1) * (sum over l < i of
+    b_(s+l) p^-l), with p^i = exp(i log p).  The exponents stay within
+    +-SCAN_SPAN, and a single step (L = 1) is y = p*y_s + b_s exactly.
+    """
+    m = len(b)
+    span = SCAN_SPAN / abs(log_p) if log_p else m
+    size = max(1, int(min(m, span)))
+    powers = np.exp(log_p * np.arange(size + 1))
+    out = np.empty(m)
+    y = y0
+    for s in range(0, m, size):
+        L = min(size, m - s)
+        sums = np.cumsum(b[s : s + L] / powers[:L])
+        out[s : s + L] = powers[1 : L + 1] * y + powers[:L] * sums
+        y = out[s + L - 1]
+    return out
 
 
 def cumulative_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:

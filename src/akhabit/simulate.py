@@ -14,15 +14,17 @@ Two integrators produce the path:
   through the one-step update, so each node is one scalar linear solve).
   The windows come one memory block at a time by the method of steps:
   one correlation over the previous block, plus a running sum of the
-  current block's nodes (``quadrature.sliding_window_integrals``);
+  current block's nodes, which stays a scalar loop on Python floats;
 
 * the lambda form takes the exponential excess law as given and evolves
   the habit by its differentiated delay law
   dh/dt = eps*(c(t) - c(t-tau) exp(-eta tau)) - eta*h
   alongside capital, with a 4-stage explicit step.  The law is linear
   and its delayed input is known one memory block ahead (the method of
-  steps), so the step is applied as precomputed 2x2 maps, one block of
-  n steps at a time.
+  steps), so the step is a precomputed 2x2 map y <- P y + b.  P is upper
+  triangular, so a block of n steps is two prefix scans, h then k
+  (``quadrature.linear_scan``, cut into sub-blocks whose powers of the
+  step factor stay within e^(+-SCAN_SPAN)).
 
 The two routes share nothing beyond the initial quadratures, so their
 agreement (and the vanishing residual of the external-habit policy
@@ -43,12 +45,14 @@ from .errors import CoarseGridError, ConstraintError, InconsistencyError
 from .hjb import aggregate, habit_weight
 from .model import HistoryGrid, InitialState, ModelParams, validate
 from .quadrature import (
+    block_windows,
     cumulative_trapezoid,
     exp_weights,
-    sliding_window_integrals,
+    linear_scan,
     steps_for,
     trap_dot,
     window_integrals,
+    window_kernel,
 )
 
 #: floor multiplier (times Lambda) for relative residual denominators
@@ -158,24 +162,41 @@ def _rk4_maps(r: float, a: float, dt: float) -> tuple[np.ndarray, ...]:
     in both, so these four 2x2 matrices are the whole step).
     """
 
+    def rate(y, f):
+        return r * y[0] - y[1] + f[0], a * y[1] + f[1]
+
     def step(y, f0, fm, f1):
-        def rate(y, f):
-            return np.array([r * y[0] - y[1] + f[0], a * y[1] + f[1]])
-
+        # Python floats in the order of the vector form: 2-vectors as
+        # numpy arrays cost more to build than the step's arithmetic
         s1 = rate(y, f0)
-        s2 = rate(y + 0.5 * dt * s1, fm)
-        s3 = rate(y + 0.5 * dt * s2, fm)
-        s4 = rate(y + dt * s3, f1)
-        return y + dt * (s1 + 2 * s2 + 2 * s3 + s4) / 6.0
+        s2 = rate([u + 0.5 * dt * s for u, s in zip(y, s1)], fm)
+        s3 = rate([u + 0.5 * dt * s for u, s in zip(y, s2)], fm)
+        s4 = rate([u + dt * s for u, s in zip(y, s3)], f1)
+        return [
+            u + dt * (d1 + 2 * d2 + 2 * d3 + d4) / 6.0
+            for u, d1, d2, d3, d4 in zip(y, s1, s2, s3, s4)
+        ]
 
-    zero = np.zeros(2)
-    units = np.eye(2)
+    zero = (0.0, 0.0)
+    units = ((1.0, 0.0), (0.0, 1.0))
     return (
         np.column_stack([step(e, zero, zero, zero) for e in units]),
         np.column_stack([step(zero, e, zero, zero) for e in units]),
         np.column_stack([step(zero, zero, e, zero) for e in units]),
         np.column_stack([step(zero, zero, zero, e) for e in units]),
     )
+
+
+def _rk4_log_growth(z: float) -> float:
+    """log of the 4-stage step's factor 1 + z + z^2/2 + z^3/6 + z^4/24 for y' = a y, z = a dt.
+
+    The diagonal of ``_rk4_maps``'s P, but from log1p of the increment: a
+    factor rounded next to 1 loses the increment's low digits, a relative
+    error in the growth rate of up to ulp(1)/|z| that the scan's powers
+    would compound over every step.  The factor is positive for every real
+    z (an even Taylor polynomial of exp), so the log exists.
+    """
+    return math.log1p(z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0))))
 
 
 def _rk4_linear_coeffs(r: float, dt: float) -> tuple[float, float, float]:
@@ -245,11 +266,15 @@ def simulate_integral_form(
     At each node the habit and the discounted window are trapezoid sums
     over the stored concatenated path (split at t = 0 for the first n
     nodes), taken block by block: one correlation over the previous
-    memory length per block, plus a running sum of the block's own nodes
-    (``quadrature.sliding_window_integrals``).  The unknown c(t_j) enters
-    both through the endpoint weight and enters capital through the
-    one-step update, so it solves a scalar linear equation.  Capital advances with
-    a 4-stage explicit step treating c as linear over the step.
+    memory length per block (``quadrature.block_windows``, against
+    kernels built once per call), plus running sums of the block's own
+    nodes kept inline on Python floats.  The unknown c(t_j) enters both
+    through the endpoint weight and enters capital through the one-step
+    update, so it solves a scalar linear equation.  Capital advances with
+    a 4-stage explicit step treating c as linear over the step.  The loop
+    stays scalar: a 4x4 block map of this step excites the e^(rt) saddle
+    mode with its rounding.  The constraints are checked once per block,
+    and the first violating node is reported.
     """
     der, init, hist, Lam, degenerate = _prepare(params, init, n)
     n = hist.n
@@ -259,7 +284,8 @@ def simulate_integral_form(
     q = habit_weight(params)
     alpha, kappa0 = der.alpha, der.kappa0
     steps = steps_for(T, dt)
-    w_eta = exp_weights(params.eta, dt, n)
+    h_kernel = window_kernel(params.eta, dt, n)
+    W_kernel = window_kernel(-r, dt, n)
     a_rk, b_rk, d_rk = _rk4_linear_coeffs(r, dt)
 
     self_weight = (params.eps * dt / 2.0) * (1.0 - alpha / b) + alpha * kappa0 * d_rk + alpha * q * (dt / 2.0)
@@ -274,9 +300,10 @@ def simulate_integral_form(
     c = np.zeros(steps + 1)
     h = np.empty(steps + 1)
     G = np.empty(steps + 1)
+    W_known = np.empty(steps + 1)
 
     k[0] = init.k0
-    h[0] = params.eps * trap_dot(w_eta, hv, dt)
+    h[0] = params.eps * trap_dot(h_kernel.weights, hv, dt)
     G[0] = aggregate(init.k0, hist, params)
     c[0] = h[0] + alpha * G[0]
 
@@ -284,24 +311,38 @@ def simulate_integral_form(
     k_tol = 1e-9 * init.k0
     eps = params.eps
     h_gain, k_gain, W_gain = 1.0 - alpha / b, alpha * kappa0, alpha * q
+    implicit = 1.0 - self_weight
+    half_eps_dt = eps * dt / 2.0
+    h_decay, W_decay = math.exp(-params.eta * dt), math.exp(r * dt)
     k_prev, c_prev = float(k[0]), float(c[0])
-    # the windows at node j read only c[:j], so they are the known parts
-    h_windows = sliding_window_integrals(hv, c, params.eta, dt)
-    W_windows = sliding_window_integrals(hv, c, -r, dt)
-    W_known = np.empty(steps + 1)
-    for j, h_window, W_j in zip(range(1, steps + 1), h_windows, W_windows):
-        h_known = eps * h_window
-        carry = a_rk * k_prev + b_rk * c_prev
-        cj = (h_known * h_gain + k_gain * carry + W_gain * W_j) / (1.0 - self_weight)
-        kj = carry + d_rk * cj
-        hj = h_known + (eps * dt / 2.0) * cj
-        c[j], k[j], h[j], W_known[j] = cj, kj, hj, W_j
-        if cj < hj - c_tol or kj < -k_tol:
+    for lo in range(0, steps, n):
+        hi = min(lo + n, steps)
+        h_windows = block_windows(hv, c, lo, hi - lo, h_kernel).tolist()
+        W_windows = block_windows(hv, c, lo, hi - lo, W_kernel).tolist()
+        cs, ks, hs, Ws = [], [], [], []
+        add_c, add_k, add_h, add_W = cs.append, ks.append, hs.append, Ws.append
+        h_inner = W_inner = 0.0
+        for h_window, W_window in zip(h_windows, W_windows):
+            h_known = eps * (h_window + h_inner)
+            W_j = W_window + W_inner
+            carry = a_rk * k_prev + b_rk * c_prev
+            c_prev = (h_known * h_gain + k_gain * carry + W_gain * W_j) / implicit
+            k_prev = carry + d_rk * c_prev
+            add_c(c_prev)
+            add_k(k_prev)
+            add_h(h_known + half_eps_dt * c_prev)
+            add_W(W_j)
+            h_inner = h_decay * (h_inner + dt * c_prev)
+            W_inner = W_decay * (W_inner + dt * c_prev)
+        new = slice(lo + 1, hi + 1)
+        c[new], k[new], h[new], W_known[new] = cs, ks, hs, Ws
+        bad = (c[new] < h[new] - c_tol) | (k[new] < -k_tol)
+        if bad.any():
+            j = lo + 1 + int(np.argmax(bad))
             raise ConstraintError(
-                f"constraint violated at t={j * dt:.6g}: c={cj:.6g}, h={hj:.6g}, k={kj:.6g}",
+                f"constraint violated at t={j * dt:.6g}: c={c[j]:.6g}, h={h[j]:.6g}, k={k[j]:.6g}",
                 t=j * dt,
             )
-        k_prev, c_prev = kj, cj
     G[1:] = kappa0 * k[1:] - h[1:] / b + q * (W_known[1:] + (dt / 2.0) * c[1:])
     return _finalize(params, der, hist, Lam, degenerate, "integral", t, k, c, h, G)
 
@@ -322,10 +363,13 @@ def simulate_lambda_form(
 
     The law is linear in (k, h), and by the method of steps its forcing
     (the excess and the delayed consumption) is known one memory block of
-    n steps ahead.  So each block builds its forcing in a few array
-    operations, maps it through the step's 2x2 forcing matrices, and runs
-    the scalar recurrence y <- P y + b; the constraints are checked once
-    per block, and the first violating node is reported.
+    n steps ahead.  The step is the linear map y <- P y + b of
+    ``_rk4_maps``, and P is upper triangular (h never sees k), so each
+    block is two prefix scans (``quadrature.linear_scan``): one for h,
+    then one for k driven by that h.  The forcing maps and the excess
+    exponentials over one block are built once per call; a block scales
+    them by Lambda e^(Gamma t_lo).  The constraints are checked once per
+    block, and the first violating node is reported.
     """
     der, init, hist, Lam, degenerate = _prepare(params, init, n)
     n = hist.n
@@ -338,7 +382,20 @@ def simulate_lambda_form(
     decay = math.exp(-eta * params.tau)
     steps = steps_for(T, dt)
     P, F0, Fm, F1 = _rk4_maps(r, eps - eta, dt)
-    (p00, p01), (p10, p11) = P.tolist()
+    log_pk, log_ph = _rk4_log_growth(r * dt), _rk4_log_growth((eps - eta) * dt)
+    p_kh = float(P[0, 1])
+    # per unit of Lambda e^(Gamma t_lo): the excess forcing of steps lo..lo+n-1
+    # (k rate -excess, h rate +eps*excess at both ends and the midpoint)
+    # and the excess at nodes lo..lo+n
+    grow = np.exp(Gamma * dt * np.arange(n + 1))
+    grow_mid = np.exp(Gamma * dt * (np.arange(n) + 0.5))
+    excess_forcing = (
+        np.outer(eps * F0[:, 1] - F0[:, 0], grow[:-1])
+        + np.outer(eps * Fm[:, 1] - Fm[:, 0], grow_mid)
+        + np.outer(eps * F1[:, 1] - F1[:, 0], grow[1:])
+    )
+    # the delayed consumption enters the h rate as -eps*decay*c(t - tau)
+    delayed = -eps * decay * np.stack([F0[:, 1], Fm[:, 1], F1[:, 1]], axis=1)
 
     hv = hist.values
     t = np.arange(steps + 1) * dt
@@ -354,27 +411,20 @@ def simulate_lambda_form(
     k_tol = 1e-9 * init.k0
     for lo in range(0, steps, n):
         hi = min(lo + n, steps)
+        m = hi - lo
         # delayed consumption at both ends of steps lo..hi-1: the history in
         # the first block, the computed path one block back afterwards
         if lo == 0:
             v0, v1 = hv[:hi], hv[1 : hi + 1]
         else:
             v0, v1 = c[lo - n : hi - n], c[lo - n + 1 : hi - n + 1]
-        t0 = t[lo:hi]
-        forcing = np.zeros((2, hi - lo))
-        for F, sigma in ((F0, 0.0), (Fm, 0.5), (F1, 1.0)):
-            excess = Lam * np.exp(Gamma * (t0 + sigma * dt))
-            c_del = v0 + sigma * (v1 - v0)
-            forcing += F @ np.stack([-excess, eps * excess - eps * decay * c_del])
-        kj, hj = k.item(lo), h.item(lo)
-        ks, hs = [], []
-        for bk, bh in zip(*forcing.tolist()):
-            kj, hj = p00 * kj + p01 * hj + bk, p10 * kj + p11 * hj + bh
-            ks.append(kj)
-            hs.append(hj)
+        forcing = delayed @ np.stack([v0, 0.5 * (v0 + v1), v1])
+        level = Lam * math.exp(Gamma * t[lo])
+        forcing += level * excess_forcing[:, :m]
         new = slice(lo + 1, hi + 1)
-        k[new], h[new] = ks, hs
-        c[new] = h[new] + Lam * np.exp(Gamma * t[new])
+        h[new] = linear_scan(log_ph, forcing[1], h[lo])
+        k[new] = linear_scan(log_pk, forcing[0] + p_kh * h[lo:hi], k[lo])
+        c[new] = h[new] + level * grow[1 : m + 1]
         bad = (c[new] < h[new] - c_tol) | (k[new] < -k_tol)
         if bad.any():
             j = lo + 1 + int(np.argmax(bad))

@@ -377,3 +377,79 @@ class TestConsoleEntry:
             text=True,
         )
         assert proc.returncode == 3
+
+
+class TestLambdaGate:
+    """The Lambda gate after a feasible verdict, and its order against the
+    hjb section and a failed integral-form solve.
+
+    The feasibility and Lambda thresholds are the same number in exact
+    arithmetic, so the feasibility verdict is forced here to reach the gate.
+    """
+
+    @pytest.fixture
+    def feasible(self, monkeypatch):
+        from dataclasses import replace
+
+        import akhabit.dde as dde
+
+        check = dde.check_feasibility
+        monkeypatch.setattr(dde, "check_feasibility", lambda *a, **k: replace(check(*a, **k), feasible=True))
+
+    def scenario(self, tmp_path, k0):
+        return load_scenario(write_scenario(tmp_path, initial={"k0": k0}))
+
+    def test_nonpositive_lambda_rejects_before_hjb(self, tmp_path, feasible):
+        from akhabit.simulate import initial_capital_threshold, lambda_constant
+
+        scn = self.scenario(tmp_path, 0.1)
+        report = run_pipeline(scn, run_oracle=False)
+        assert (report.status, report.code) == ("reject", "lambda:nonpositive")
+        assert report.closed_loop == {
+            "Lambda": lambda_constant(scn.params, scn.initial),
+            "k0_threshold": initial_capital_threshold(scn.params, scn.initial.history),
+        }
+        assert report.closed_loop["Lambda"] < 0.0
+        assert report.hjb == {}
+
+    def test_degenerate_lambda_rejects(self, tmp_path, feasible):
+        from akhabit.simulate import initial_capital_threshold, lambda_constant
+
+        probe = self.scenario(tmp_path, 1.0)
+        k0 = float(initial_capital_threshold(probe.params, probe.initial.history)) * (1.0 + 1e-12)
+        scn = self.scenario(tmp_path, k0)
+        Lam = lambda_constant(scn.params, scn.initial)
+        assert 0.0 < Lam <= 1e-10
+        report = run_pipeline(scn, run_oracle=False)
+        assert (report.status, report.code) == ("reject", "lambda:nonpositive")
+        assert report.closed_loop["Lambda"] == Lam
+
+    @pytest.mark.parametrize("k0", [0.1, 10.0], ids=["lambda-negative", "lambda-positive"])
+    def test_failed_integral_form_reported_after_lambda_and_hjb(self, tmp_path, feasible, monkeypatch, k0):
+        import akhabit.simulate as simulate
+        from akhabit.errors import CoarseGridError, ConstraintError
+
+        scn = self.scenario(tmp_path, k0)
+
+        def fails(error):
+            def solve(*args, **kwargs):
+                raise error
+
+            return solve
+
+        monkeypatch.setattr(simulate, "simulate_integral_form", fails(CoarseGridError("coarse")))
+        if k0 < 1.0:
+            report = run_pipeline(scn, run_oracle=False)
+            assert report.code == "lambda:nonpositive"
+        else:
+            with pytest.raises(CoarseGridError):
+                run_pipeline(scn, run_oracle=False)
+
+        monkeypatch.setattr(simulate, "simulate_integral_form", fails(ConstraintError("late", t=3.0)))
+        report = run_pipeline(scn, run_oracle=False)
+        if k0 < 1.0:
+            assert report.code == "lambda:nonpositive"
+        else:
+            assert (report.status, report.code) == ("reject", "simulate:constraint")
+            assert report.closed_loop == {"error": "late"}
+            assert set(report.hjb) == {"G", "v", "c_feedback", "hjb_residual"}

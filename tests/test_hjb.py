@@ -18,7 +18,7 @@ from akhabit import (
     value_bound_coefficient,
     value_function,
 )
-from akhabit.hjb import inner_component
+from akhabit.hjb import inner_component, state_values
 from akhabit.quadrature import exp_weights, trap_dot
 from conftest import random_valid_params
 
@@ -215,3 +215,38 @@ class TestHJBResidual:
         state = StateSample(0.0, HistoryGrid.constant(1.0, 1.0, 2000))
         with pytest.raises(DomainError):
             hjb_residual(state, params)
+
+
+class TestStateValues:
+    def test_bitwise_the_four_single_evaluations(self, params):
+        rng = np.random.default_rng(11)
+        for _ in range(6):
+            state = smooth_state(params, rng)
+            assert state_values(state, params) == {
+                "G": G_value(state, params),
+                "v": value_function(state, params),
+                "c_feedback": feedback(state, params),
+                "hjb_residual": hjb_residual(state, params),
+            }
+
+    def test_one_G_evaluation(self, params, monkeypatch):
+        from akhabit import hjb
+
+        calls = []
+        original = hjb.G_value
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(hjb, "G_value", counting)
+        state_values(smooth_state(params, np.random.default_rng(12)), params)
+        assert len(calls) == 1
+
+    def test_outside_the_value_region_raises_like_value_function(self, params):
+        state = StateSample(0.0, HistoryGrid.constant(1.0, params.tau, 1000))
+        with pytest.raises(DomainError) as want:
+            value_function(state, params)
+        with pytest.raises(DomainError) as got:
+            state_values(state, params)
+        assert str(got.value) == str(want.value)

@@ -154,3 +154,13 @@ class TestHabitOfHistory:
     def test_tau_mismatch_rejected(self, params):
         with pytest.raises(DomainError):
             habit_of_history(HistoryGrid.constant(1.0, tau=2.0, n=50), params)
+
+
+def test_resample_is_computed_once_per_grid():
+    hist = HistoryGrid.from_callable(lambda u: 1.0 + 0.5 * np.sin(3.0 * u), 1.0, 50)
+    fine = hist.resample(200)
+    assert hist.resample(200) is fine
+    assert hist.resample(50) is hist
+    grid = -1.0 + np.arange(201) * (1.0 / 200)
+    assert np.array_equal(fine.values, np.interp(grid, hist.grid, hist.values))
+    assert hist.resample(400).n == 400

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from akhabit.quadrature import sliding_window_integrals, window_integral, window_integrals
+from akhabit.quadrature import linear_scan, sliding_window_integrals, window_integral, window_integrals
 
 
 class TestWindowIntegrals:
@@ -37,13 +37,13 @@ class TestSlidingWindowIntegrals:
     def test_matches_per_node_quadrature(self, params, beta, rate, n):
         # the path is filled node by node as a recurrence fills it: each
         # value is read before its node is written, so the newest node is
-        # still 0.  A path decaying almost as fast as the habit weights
-        # (eta = 40, c ~ e^(-38 t), as c_m does) makes the update subtract
-        # old terms far larger than the window's value, so the error is
-        # bounded against the sum of the absolute trapezoid terms instead.
-        # A steep discount (beta = -4) multiplies the rounding carried in the
-        # sum by e^4 per memory length; the re-anchor caps that growth at
-        # one memory length, and the bound allows for it
+        # still 0.  The error is bounded against the window's sum of
+        # absolute trapezoid terms, the scale of its rounding.  Each memory
+        # block starts from a fresh correlation, and its running sum only
+        # adds terms that carry their own window weight, so the bound needs
+        # no growth factor: not for a path decaying almost as fast as the
+        # habit weights (eta = 40, c ~ e^(-38 t), as c_m does), nor for a
+        # steep discount (beta = -4)
         dt = params.tau / n
         rng = np.random.default_rng(n)
         hist = 1.0 + 0.3 * rng.random(n + 1)
@@ -52,7 +52,7 @@ class TestSlidingWindowIntegrals:
         target = 0.7 * np.exp(rate * dt * np.arange(steps + 1)) * (1.0 + 0.1 * rng.random(steps + 1))
         comp = np.zeros(steps + 1)
         comp[0] = target[0]
-        tol = 1e-13 * math.exp(max(0.0, -beta) * params.tau)
+        tol = 1e-13
         j = 0
         for j, got in enumerate(sliding_window_integrals(hist, comp, beta, dt), start=1):
             want = window_integral(hist, comp, j, beta, dt)
@@ -89,3 +89,25 @@ class TestBlockKernel:
             comp[j] = target[j]
         with pytest.raises(StopIteration):
             next(windows)
+
+
+class TestLinearScan:
+    @pytest.mark.parametrize("log_p", [0.0, 1e-3, -1e-3, -0.3, 3.0, -5.0, -30.0, -800.0])
+    @pytest.mark.parametrize("m", [0, 1, 2, 7, 200])
+    def test_matches_the_sequential_recurrence(self, log_p, m):
+        # |log p| * m runs from 0 to 1.6e5, so the blocks range from one
+        # uncut scan to sub-blocks of a single step (and an empty block);
+        # the error is bounded against the sum of the absolute terms of y_i
+        rng = np.random.default_rng(m)
+        b = rng.normal(size=m)
+        y0 = 0.7
+        p = math.exp(log_p)
+        want, scale = [], []
+        y, s = y0, abs(y0)
+        for bi in b:
+            y, s = p * y + bi, p * s + abs(bi)
+            want.append(y)
+            scale.append(s)
+        got = linear_scan(log_p, b, y0)
+        assert got.shape == (m,)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.array(scale)), (got, want)
