@@ -245,6 +245,10 @@ def load_scenario(path) -> Scenario:
     numerics = Numerics(**nblock, tolerances=tolerances)
     if numerics.n < 2 or numerics.oracle_m < 2 or numerics.trials < 0:
         raise ScenarioError("numerics entries must be positive")
+    if not (math.isfinite(numerics.margin) and numerics.margin > 0.0):
+        raise ScenarioError(f"numerics.margin must be finite and > 0, got {numerics.margin!r}")
+    if numerics.seed < 0:
+        raise ScenarioError(f"numerics.seed must be >= 0, got {numerics.seed}")
 
     try:
         k0 = float(iblock.pop("k0"))
@@ -330,11 +334,33 @@ def _feasibility_section(rep: dde.FeasibilityReport, k0: float) -> dict:
     }
 
 
-def run_pipeline(scn: Scenario, run_oracle: bool = True, seed: int | None = None) -> RunReport:
+@dataclass(frozen=True)
+class KernelResults:
+    """A run's results that depend only on the habit kernel and the history.
+
+    The spectral section and the minimal plan c_m are functions of
+    (eps, eta, tau), the history, the grid, the horizon and the margin,
+    not of k0, A, delta, rho or gamma, so runs that differ only in those
+    can share them.
+    """
+
+    spectral: dict
+    cm: dde.SampledPath
+
+
+def run_pipeline(
+    scn: Scenario,
+    run_oracle: bool = True,
+    seed: int | None = None,
+    kernel: KernelResults | None = None,
+) -> RunReport:
     """The full verification pipeline on an in-memory scenario.
 
     Returns a RunReport; never raises for model-level rejections (they
-    become status "reject"), only for internal failures.
+    become status "reject"), only for internal failures.  ``kernel`` holds
+    the spectral section and c_m of an earlier run of a scenario that
+    differs from this one at most in k0, A, delta, rho and gamma; without
+    it the run computes them.
     """
     report = RunReport(status="ok", code="")
     checks = report.checks
@@ -342,13 +368,13 @@ def run_pipeline(scn: Scenario, run_oracle: bool = True, seed: int | None = None
     seed = num.seed if seed is None else seed
 
     try:
-        validate(scn.params)
+        der = validate(scn.params)
     except AkHabitError as exc:
         report.status, report.code = "reject", exc.code
         report.closed_loop = {"error": str(exc)}
         return report
 
-    report.spectral = _spectral_section(scn)
+    report.spectral = dict(kernel.spectral) if kernel else _spectral_section(scn)
     checks.extend(_bounded(num, spectral_residual=abs(report.spectral["residual"])))
     checks.append(
         Check(
@@ -359,7 +385,14 @@ def run_pipeline(scn: Scenario, run_oracle: bool = True, seed: int | None = None
         )
     )
 
-    feas = dde.check_feasibility(scn.params, scn.initial, T=scn.horizon, n=num.n)
+    feas = dde.check_feasibility(
+        scn.params,
+        scn.initial,
+        T=scn.horizon,
+        n=num.n,
+        lambda0=report.spectral["lambda0"],
+        cm=kernel.cm if kernel else None,
+    )
     report.feasibility = _feasibility_section(feas, scn.initial.k0)
     report.feasibility_data = feas
     if not feas.feasible:
@@ -367,18 +400,26 @@ def run_pipeline(scn: Scenario, run_oracle: bool = True, seed: int | None = None
         return report
 
     # the integral form computes Lambda on the run grid, so it runs first
-    # and Lambda is not computed twice; a failure of it is held back and
-    # reported in the order of the checks, after Lambda and the hjb section
+    # and Lambda is not computed twice; the integrators' warnings are
+    # silenced (the checks below judge the paths), and a failure of either
+    # is held back and reported in the order of the checks, after Lambda
+    # and the hjb section
     failure = None
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
             traj = simulate.simulate_integral_form(scn.params, scn.initial, scn.horizon, n=num.n)
-        Lam = traj.Lambda
-    except AkHabitError as exc:
-        failure = exc
-        Lam = simulate.lambda_constant(scn.params, scn.initial.resample(num.n))
-    if Lam <= 0.0 or abs(Lam) <= 1e-10 * (1.0 + scn.initial.k0):
+            Lam = traj.Lambda
+        except AkHabitError as exc:
+            failure = exc
+            Lam = simulate.lambda_constant(scn.params, scn.initial.resample(num.n))
+        lambda_ok = not (Lam <= 0.0 or abs(Lam) <= 1e-10 * (1.0 + scn.initial.k0))
+        if lambda_ok and failure is None:
+            try:
+                traj_l = simulate.simulate_lambda_form(scn.params, scn.initial, scn.horizon, n=num.n)
+            except ConstraintError as exc:
+                failure = exc
+    if not lambda_ok:
         report.status, report.code = "reject", "lambda:nonpositive"
         report.closed_loop = {
             "Lambda": Lam,
@@ -393,18 +434,13 @@ def run_pipeline(scn: Scenario, run_oracle: bool = True, seed: int | None = None
     state0 = StateSample(scn.initial.k0, scn.initial.history.resample(max(num.n, 1000)))
     report.hjb = state_values(state0, scn.params)
 
-    try:
-        if failure is not None:
+    if failure is not None:
+        if not isinstance(failure, ConstraintError):
             raise failure
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            traj_l = simulate.simulate_lambda_form(scn.params, scn.initial, scn.horizon, n=num.n)
-    except ConstraintError as exc:
-        report.status, report.code = "reject", exc.code
-        report.closed_loop = {"error": str(exc)}
+        report.status, report.code = "reject", failure.code
+        report.closed_loop = {"error": str(failure)}
         return report
 
-    der = validate(scn.params)
     report.closed_loop = {
         "Lambda": traj.Lambda,
         "Gamma": traj.Gamma,
@@ -594,6 +630,8 @@ def run(
 ) -> int:
     """Run the pipeline for one scenario file; returns the process exit code."""
     try:
+        if seed is not None and seed < 0:
+            raise ScenarioError(f"--seed must be >= 0, got {seed}", code="parse:seed")
         scn = load_scenario(scenario_path)
     except ScenarioError as exc:
         print(f"RESULT error {exc.code}: {exc}")
@@ -622,7 +660,13 @@ def run(
     return 2 if report.status == "reject" else 1
 
 
-def _sweep_row(scn: Scenario, name: str, value: float):
+def _sweep_row(scn: Scenario, name: str, value: float, shared: dict):
+    """One summary row; ``shared`` maps (eps, eta, tau) to the sweep's KernelResults.
+
+    Within one sweep only the swept parameter changes (and with tau the
+    history's memory length), so rows with the same (eps, eta, tau) have
+    the same kernel, history, grid, horizon and margin.
+    """
     params, initial = scn.params, scn.initial
     if name == "k0":
         initial = InitialState(k0=value, history=initial.history)
@@ -638,7 +682,10 @@ def _sweep_row(scn: Scenario, name: str, value: float):
     # a sweep never runs the oracle, so the row is not held to its grid
     row_scn = Scenario(params=params, initial=initial, numerics=replace(scn.numerics, oracle=False))
     row_scn.check_consistency()
-    report = run_pipeline(row_scn, run_oracle=False)
+    key = (params.eps, params.eta, params.tau)
+    report = run_pipeline(row_scn, run_oracle=False, kernel=shared.get(key))
+    if key not in shared and report.feasibility_data is not None:
+        shared[key] = KernelResults(report.spectral, report.feasibility_data.cm)
     lam0 = report.spectral.get("lambda0", math.nan)
     Lam = report.closed_loop.get("Lambda", math.nan)
     Gam = report.closed_loop.get("Gamma", math.nan)
@@ -664,9 +711,10 @@ def sweep(scenario_path, param: str, values, out_dir) -> int:
         return 3
 
     rows = []
+    shared = {}
     for v in values:
         try:
-            rows.append(_sweep_row(scn, param, v))
+            rows.append(_sweep_row(scn, param, v, shared))
         except AkHabitError as exc:
             rows.append((v, math.nan, math.nan, math.nan, math.nan, exc.code, "error"))
 

@@ -27,7 +27,8 @@ recurrence
 
 so a whole block is one prefix scan (``quadrature.linear_scan``, cut into
 sub-blocks whose powers of p stay within e^(+-SCAN_SPAN)).  A run computes
-c_m once, here, and shares it with the path monitors.
+c_m once, here, and shares it with the path monitors; a sweep shares it
+across rows that keep the habit kernel.
 """
 
 from __future__ import annotations
@@ -143,6 +144,8 @@ def check_feasibility(
     init: InitialState,
     T: float | None = None,
     n: int | None = None,
+    lambda0: float | None = None,
+    cm: SampledPath | None = None,
 ) -> FeasibilityReport:
     """Decide whether k0 covers the discounted cost of the minimal plan.
 
@@ -155,11 +158,17 @@ def check_feasibility(
     is evaluated as max(c_m(t) exp(lambda0 (T - t))) * exp(-r T) / (r - lambda0),
     which never forms exp(-lambda0 t): that factor overflows when lambda0
     is very negative, while c_m has underflowed to zero.
+
+    ``lambda0`` is the real root and ``cm`` the minimal plan on [0, T] at
+    n nodes per tau, if the caller has them already: neither depends on
+    k0 or on the preferences, so runs that share the habit kernel and the
+    history can share them.
     """
     if T is None:
         T = DEFAULT_HORIZON * params.tau
-    lam0 = real_root(params)
-    cm = minimal_consumption(params, init.history, T, n=n)
+    lam0 = real_root(params) if lambda0 is None else lambda0
+    if cm is None:
+        cm = minimal_consumption(params, init.history, T, n=n)
     kM = dominated_capital(params, init.k0, cm)
     r = params.r
 

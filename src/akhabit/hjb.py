@@ -29,7 +29,7 @@ identity needs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,10 +48,20 @@ class StateSample:
 
     k: float
     past_c: HistoryGrid
+    # window_functionals results by parameter set: G and the policy both
+    # need the habit of the same window
+    _windows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.k) and self.k >= 0.0):
             raise DomainError(f"capital must be finite and >= 0, got {self.k}", code="domain:k")
+
+    def window_functionals(self, params: ModelParams) -> tuple[float, float]:
+        """(habit h, discounted window W) of the window, computed once per parameter set."""
+        pair = self._windows.get(params)
+        if pair is None:
+            pair = self._windows[params] = _window_functionals(self.past_c, params)
+        return pair
 
 
 def habit_weight(params: ModelParams) -> float:
@@ -60,29 +70,30 @@ def habit_weight(params: ModelParams) -> float:
     return params.eps * math.exp(-b * params.tau) / b
 
 
-def _habit(history: HistoryGrid, params: ModelParams) -> float:
-    """Habit h of a consumption window re-based to [-tau, 0]."""
-    return params.eps * exp_integral(history.values, params.eta, history.dt)
-
-
 def _window_functionals(history: HistoryGrid, params: ModelParams) -> tuple[float, float]:
     """(habit h, discounted window W) of a consumption window re-based to [-tau, 0].
 
     W = integral over [t-tau, t] of exp(r (t-s)) c~(s) ds, re-based.
     """
-    W = exp_integral(history.values, -params.r, history.dt)
-    return _habit(history, params), W
+    h = params.eps * exp_integral(history.values, params.eta, history.dt)
+    return h, exp_integral(history.values, -params.r, history.dt)
 
 
-def aggregate(k: float, history: HistoryGrid, params: ModelParams) -> float:
+def aggregate(
+    k: float,
+    history: HistoryGrid,
+    params: ModelParams,
+    window: tuple[float, float] | None = None,
+) -> float:
     """The aggregate G = kappa0*k - (h/(r+eta) - w*W) by the single-window form.
 
     The one evaluation of G from capital and a consumption window; every
     other route to G (Lambda, the capital threshold, the simulated paths'
-    starting value, G_value) goes through it.
+    starting value, G_value) goes through it.  ``window`` is (h, W) of
+    ``history`` if the caller has them already.
     """
     der = validate(params)
-    h, W = _window_functionals(history, params)
+    h, W = _window_functionals(history, params) if window is None else window
     return der.kappa0 * k - (h / (params.r + params.eta) - habit_weight(params) * W)
 
 
@@ -115,7 +126,7 @@ def G_value(state: StateSample, params: ModelParams, mismatch_tol: float = G_MIS
     the reduced form.
     """
     der = validate(params)
-    reduced = aggregate(state.k, state.past_c, params)
+    reduced = aggregate(state.k, state.past_c, params, state.window_functionals(params))
     second_reduced = der.kappa0 * state.k - reduced
 
     second_direct = exp_integral(inner_component(state.past_c, params), params.r, state.past_c.dt)
@@ -145,7 +156,7 @@ def feedback(state: StateSample, params: ModelParams) -> float:
     G = G_value(state, params)
     if G <= 0.0:
         raise DomainError(f"state outside the feedback region: G = {G:.6g} <= 0", code="domain:G")
-    return _habit(state.past_c, params) + der.alpha * G
+    return state.window_functionals(params)[0] + der.alpha * G
 
 
 def _hamiltonian_pieces(
@@ -155,7 +166,7 @@ def _hamiltonian_pieces(
     G = G_value(state, params)
     if G <= 0.0:
         raise DomainError(f"state outside the value region: G = {G:.6g} <= 0", code="domain:G")
-    h = _habit(state.past_c, params)
+    h = state.window_functionals(params)[0]
     v = der.nu * G ** (1.0 - params.gamma)
     bstar_dv = -(1.0 - params.gamma) * der.nu * G ** (-params.gamma)
     return G, h, v, bstar_dv
@@ -189,8 +200,8 @@ def state_values(state: StateSample, params: ModelParams) -> dict[str, float]:
     """G, v, the feedback consumption and the HJB residual of one state.
 
     The values of ``G_value``, ``value_function``, ``feedback`` and
-    ``hjb_residual``, bitwise, from one G evaluation and one habit
-    quadrature instead of four and three.
+    ``hjb_residual``, bitwise, from one G evaluation instead of four; the
+    habit is the one G computed (``StateSample.window_functionals``).
     """
     der = validate(params)
     G, h, v, bstar_dv = _hamiltonian_pieces(state, params, der)

@@ -150,6 +150,15 @@ class HistoryGrid:
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
+    def __eq__(self, other):
+        if not isinstance(other, HistoryGrid):
+            return NotImplemented
+        return self.tau == other.tau and np.array_equal(self.values, other.values)
+
+    def __hash__(self):
+        # equal grids have equal sample sums; the samples are immutable
+        return hash((self.tau, len(self.values), float(self.values.sum())))
+
     @property
     def n(self) -> int:
         return len(self.values) - 1

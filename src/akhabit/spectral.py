@@ -22,6 +22,19 @@ inside a rectangle straddling lambda0 by the argument principle.  a has
 one extra non-characteristic zero at lam = -eta (the factor lam + eta
 vanishes there while phi generally does not), which is added to the
 expected count whenever it falls inside the box.
+
+The contour is evaluated side by side in real arithmetic.  With
+lam + eta = X + iY,
+
+    a = X - eps + eps exp(-X tau) cos(Y tau) + i (Y - eps exp(-X tau) sin(Y tau)),
+
+so each horizontal side (Y = -+Q) costs one real exp of its abscissae
+times a scalar phase, and the two vertical sides (X fixed) share one
+cos/sin of their ordinates: the left side's are the right side's
+negated.  The winding sums the phase increments arctan2 of
+v_{j+1} conj(v_j) of consecutive samples, in place of the angles of
+the ratios v_{j+1}/v_j of complex exponentials; the sample points are
+the same.
 """
 
 from __future__ import annotations
@@ -49,6 +62,10 @@ ROOT_TOL = 1e-12
 #: tolerance for classifying phi(0) as zero / matching the tag against lambda0
 REGIME_TOL = 1e-10
 TAG_MATCH_TOL = 1e-9
+
+#: contour values beyond this are rescaled before the phase products,
+#: whose magnitude is the square of theirs
+BIG_VALUE = 1e150
 
 
 class RootRegime(Enum):
@@ -151,7 +168,9 @@ def _em1_over(y):
     return np.where(small, series, direct)
 
 
-def leading_coefficient(params: ModelParams, history: HistoryGrid) -> float:
+def leading_coefficient(
+    params: ModelParams, history: HistoryGrid, lambda0: float | None = None
+) -> float:
     """Coefficient p0 of the dominant mode p0*exp(lambda0*t) of the kernel solution.
 
     The renewal equation is a convolution against eps*exp(-eta s) on [0, tau]
@@ -165,9 +184,10 @@ def leading_coefficient(params: ModelParams, history: HistoryGrid) -> float:
     with E(y) = (1 - exp(-y))/y (so fhat is smooth through lam = -eta).
     Trapezoid on the history grid; positive whenever the history is
     positive somewhere.  For the zero-root constant-history case this is
-    exactly the constant the solution settles at.
+    exactly the constant the solution settles at.  ``lambda0`` is the real
+    root if the caller has it already.
     """
-    lam0 = real_root(params)
+    lam0 = real_root(params) if lambda0 is None else lambda0
     x = lam0 + params.eta
     grid = history.grid
     span = grid + params.tau
@@ -182,6 +202,52 @@ def _kernel_numerator(lam: np.ndarray, params: ModelParams) -> np.ndarray:
     return z - params.eps * (1.0 - np.exp(-z * params.tau))
 
 
+def _contour_values(
+    params: ModelParams, re_lo: float, re_hi: float, im_half: float, side: np.ndarray, out: np.ndarray
+) -> None:
+    """a(lam) at the 4n boundary samples of count_zeros, side by side, into out.
+
+    ``out[0]`` and ``out[1]`` (length 4n + 1) receive the real and
+    imaginary parts: bottom, right, top and left side, n samples each
+    from its starting corner, then the first sample again, which closes
+    the contour.  With z = lam + eta = X + iY and E = exp(-X tau),
+
+        a = X - eps + eps E cos(Y tau) + i (Y - eps E sin(Y tau)),
+
+    so the horizontal sides (Y = -Q, +Q) need one real exp of their
+    abscissae times the scalar phase of Q tau, and the vertical sides
+    (X fixed) one cos/sin of their ordinates, shared by both since the
+    left side's ordinates are the right side's negated.  The corners,
+    where two of these expansions meet, are evaluated by
+    ``_kernel_numerator``, the definition of a itself.
+    """
+    eps, eta, tau = params.eps, params.eta, params.tau
+    n = len(side)
+    re, im = out[0], out[1]
+    bottom, right, top, left = (slice(k * n, (k + 1) * n) for k in range(4))
+    shift = (re_hi - re_lo) * side
+    for s, x, y in ((bottom, re_lo + shift, -im_half), (top, re_hi - shift, im_half)):
+        X = x + eta
+        E = np.exp(X * -tau)
+        np.multiply(E, eps * math.cos(y * tau), out=re[s])
+        re[s] += X - eps
+        np.multiply(E, -eps * math.sin(y * tau), out=im[s])
+        im[s] += y
+    Y = -im_half + 2 * im_half * side  # the right side's ordinates; the left's are -Y
+    C, S = np.cos(Y * tau), np.sin(Y * tau)
+    for s, X, sign in ((right, re_hi + eta, 1.0), (left, re_lo + eta, -1.0)):
+        eE = eps * np.exp(X * -tau)
+        np.multiply(C, eE, out=re[s])
+        re[s] += X - eps
+        np.multiply(S, -sign * eE, out=im[s])
+        im[s] += sign * Y
+    corners = np.array([complex(re_lo, -im_half), complex(re_hi, -im_half),
+                        complex(re_hi, im_half), complex(re_lo, im_half)])
+    corners = _kernel_numerator(corners, params)
+    re[0 : 4 * n : n], im[0 : 4 * n : n] = corners.real, corners.imag
+    re[4 * n], im[4 * n] = re[0], im[0]
+
+
 def count_zeros(
     params: ModelParams,
     re_lo: float,
@@ -192,24 +258,38 @@ def count_zeros(
     """Zeros of a(lam) inside [re_lo, re_hi] x [-im_half, im_half] i.
 
     Argument-principle winding of the boundary image, computed from the
-    accumulated phase increments.  The discretization is doubled up to
+    accumulated phase increments arg(v_{j+1} conj(v_j)) of consecutive
+    samples (``_contour_values``).  The discretization is doubled up to
     three times if the winding fails to be integral within 1e-3.
     """
+    # |a| <= |lam + eta| + eps + eps*exp(-(lam + eta)*tau) bounds the samples
+    reach = max(abs(re_lo + params.eta), abs(re_hi + params.eta)) + im_half + params.eps
+    growth = min(-(min(re_lo, re_hi) + params.eta) * params.tau, 700.0)
+    rescale = reach + params.eps * math.exp(growth) > BIG_VALUE
     winding = math.nan  # stays nan if every attempt hits an exact zero
     for attempt in range(4):
         n = points * 2**attempt
         side = np.linspace(0.0, 1.0, n, endpoint=False)
-        bottom = re_lo + (re_hi - re_lo) * side - 1j * im_half
-        right = re_hi + 1j * (-im_half + 2 * im_half * side)
-        top = re_hi - (re_hi - re_lo) * side + 1j * im_half
-        left = re_lo + 1j * (im_half - 2 * im_half * side)
-        contour = np.concatenate([bottom, right, top, left])
-        values = _kernel_numerator(contour, params)
-        if np.any(values == 0.0):
+        buf = np.empty((5, 4 * n + 1))
+        _contour_values(params, re_lo, re_hi, im_half, side, buf)
+        re, im = buf[0], buf[1]
+        zero = re == 0.0
+        if zero.any() and (im[zero] == 0.0).any():
             continue  # a zero sits on a sample point; refine
-        ratios = np.roll(values, -1) / values
-        winding = float(np.angle(ratios).sum() / (2.0 * math.pi))
-        if abs(winding - round(winding)) < 1e-3:
+        if rescale:
+            # the products below would overflow; a positive scale per
+            # sample leaves every phase increment unchanged
+            buf[:2] /= np.maximum(np.abs(re), np.abs(im))
+        real, imag, tmp = buf[2, :-1], buf[3, :-1], buf[4, :-1]
+        np.multiply(re[1:], re[:-1], out=real)
+        np.multiply(im[1:], im[:-1], out=tmp)
+        real += tmp
+        np.multiply(im[1:], re[:-1], out=imag)
+        np.multiply(re[1:], im[:-1], out=tmp)
+        imag -= tmp
+        winding = float(np.arctan2(imag, real, out=tmp).sum() / (2.0 * math.pi))
+        # a sample that overflowed makes the winding nan: not integral
+        if math.isfinite(winding) and abs(winding - round(winding)) < 1e-3:
             return int(round(winding))
     raise ContourError(
         f"winding number {winding:.6f} not integral after refinement "
@@ -233,6 +313,7 @@ def dominance_certificate(
     margin: float = 0.1,
     points: int = 4096,
     im_half: float | None = None,
+    lambda0: float | None = None,
 ) -> DominanceCertificate:
     """Certify that lambda0 is the only characteristic root with Re >= lambda0 - margin
     in the strip |Im| <= im_half.
@@ -241,11 +322,12 @@ def dominance_certificate(
     x [-Q, Q] with Q = im_half, defaulting to 4*pi/tau (characteristic roots of
     this kernel are spaced roughly 2*pi/tau apart in the imaginary direction).
     The expected count is 1 for lambda0 itself plus 1 if the non-characteristic
-    zero of a at -eta falls inside the box.
+    zero of a at -eta falls inside the box.  ``lambda0`` is the real root if
+    the caller has it already.
     """
     if margin <= 0.0:
         raise ValueError("margin must be > 0")
-    lam0 = real_root(params)
+    lam0 = real_root(params) if lambda0 is None else lambda0
     if im_half is None:
         im_half = 4.0 * math.pi / params.tau
     re_lo, re_hi = lam0 - margin, lam0 + margin
@@ -283,13 +365,16 @@ def spectral_report(
     history: HistoryGrid,
     margin: float = 0.1,
 ) -> SpectralReport:
-    """Solve, classify, and certify the kernel spectrum for one scenario."""
+    """Solve, classify, and certify the kernel spectrum for one scenario.
+
+    The real root is found once and handed to every step that needs it.
+    """
     lam0 = real_root(params)
-    cert = dominance_certificate(params, margin=margin)
+    cert = dominance_certificate(params, margin=margin, lambda0=lam0)
     return SpectralReport(
         lambda0=lam0,
         regime=regime(params, lam0),
-        p0=leading_coefficient(params, history),
+        p0=leading_coefficient(params, history, lam0),
         dominance_margin=margin if cert.verified else 0.0,
         residual=phi(lam0, params),
         certificate=cert,

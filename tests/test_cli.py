@@ -453,3 +453,90 @@ class TestLambdaGate:
             assert (report.status, report.code) == ("reject", "simulate:constraint")
             assert report.closed_loop == {"error": "late"}
             assert set(report.hjb) == {"G", "v", "c_feedback", "hjb_residual"}
+
+
+class TestNumericsValidation:
+    """Every bad margin or seed ends in RESULT error and exit 3, from run and sweep."""
+
+    @pytest.mark.parametrize(
+        "numerics", [{"margin": -1}, {"margin": float("nan")}, {"margin": 0.0}, {"seed": -1}],
+        ids=["margin-negative", "margin-nan", "margin-zero", "seed-negative"],
+    )
+    def test_bad_numerics_is_exit_3(self, tmp_path, capsys, numerics):
+        path = write_scenario(tmp_path, numerics=numerics)
+        assert run(path, tmp_path / "out") == 3
+        assert capsys.readouterr().out.strip().splitlines()[-1].startswith("RESULT error parse:scenario")
+        assert not (tmp_path / "out").exists()
+        assert sweep(path, "k0", [1.0], tmp_path / "sweep") == 3
+        assert capsys.readouterr().out.strip().splitlines()[-1].startswith("RESULT error parse:scenario")
+
+    def test_negative_seed_flag_is_exit_3(self, tmp_path, capsys):
+        path = write_scenario(tmp_path)
+        assert run(path, tmp_path / "out", seed=-1) == 3
+        assert capsys.readouterr().out.strip().splitlines()[-1].startswith("RESULT error parse:seed")
+        assert not (tmp_path / "out").exists()
+
+
+def _count_calls(monkeypatch, module, name, calls):
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+
+
+class TestSharedKernel:
+    """Sweep rows that keep (eps, eta, tau) share one spectrum and one c_m."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import akhabit.cli as cli
+        import akhabit.dde as dde
+        import akhabit.spectral as spectral
+
+        calls = []
+        _count_calls(monkeypatch, cli, "spectral_report", calls)
+        _count_calls(monkeypatch, spectral, "dominance_certificate", calls)
+        _count_calls(monkeypatch, dde, "minimal_consumption", calls)
+        # real_root is bound in both modules that call it
+        _count_calls(monkeypatch, spectral, "real_root", calls)
+        monkeypatch.setattr(dde, "real_root", spectral.real_root)
+        return calls
+
+    @pytest.mark.parametrize(
+        "param,values,per_layer",
+        [("k0", [0.1, 0.2, 0.5, 1.0, 5.0, 10.0], 1), ("eps", [0.2, 0.3, 0.4, 0.5, 0.6, 0.7], 6)],
+    )
+    def test_sweep_call_counts(self, tmp_path, capsys, calls, param, values, per_layer):
+        sweep(write_scenario(tmp_path), param, values, tmp_path / "out")
+        for name in ("spectral_report", "dominance_certificate", "minimal_consumption", "real_root"):
+            assert calls.count(name) == per_layer, name
+
+    def test_run_pipeline_bisects_once(self, tmp_path, calls):
+        report = run_pipeline(load_scenario(write_scenario(tmp_path)), run_oracle=False)
+        assert report.status == "ok"
+        assert calls.count("real_root") == 1
+
+    @pytest.mark.parametrize(
+        "param,values",
+        [
+            ("k0", [0.05, 0.2, 0.5, 10.0, 0.2]),
+            ("gamma", [0.5, 0.9, 2.0, 4.0]),
+            ("rho", [0.01, 0.04, 0.5]),
+            ("eps", [0.25, 0.5, 1.0, 1.5, 0.5]),
+            ("tau", [0.5, 1.0, 2.0, 1.0]),
+        ],
+    )
+    def test_sweep_csv_matches_independent_rows(self, tmp_path, capsys, monkeypatch, param, values):
+        import akhabit.cli as cli
+
+        path = write_scenario(tmp_path)
+        sweep(path, param, values, tmp_path / "shared")
+        row = cli._sweep_row
+        monkeypatch.setattr(cli, "_sweep_row", lambda scn, name, value, shared: row(scn, name, value, {}))
+        sweep(path, param, values, tmp_path / "independent")
+        shared = (tmp_path / "shared" / "sweep.csv").read_bytes()
+        assert shared == (tmp_path / "independent" / "sweep.csv").read_bytes()
+        assert len(shared.splitlines()) == len(values) + 1

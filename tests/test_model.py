@@ -164,3 +164,22 @@ def test_resample_is_computed_once_per_grid():
     grid = -1.0 + np.arange(201) * (1.0 / 200)
     assert np.array_equal(fine.values, np.interp(grid, hist.grid, hist.values))
     assert hist.resample(400).n == 400
+
+
+def test_history_and_initial_state_equality():
+    from akhabit import InitialState
+
+    hist = HistoryGrid.from_callable(lambda u: 1.0 + 0.5 * np.sin(u), 1.0, 50)
+    same = HistoryGrid(hist.tau, hist.values)
+    assert hist == same and not hist != same
+    assert hash(hist) == hash(same)
+    assert hist != HistoryGrid(2.0, hist.values)
+    assert hist != HistoryGrid(hist.tau, hist.values * 2.0)
+    assert hist != HistoryGrid(hist.tau, hist.values[:-1])
+    assert hist != "not a history"
+    assert len({hist, same, hist.resample(50), hist.resample(100)}) == 2
+    init = InitialState(10.0, hist)
+    assert init == InitialState(10.0, same)
+    assert hash(init) == hash(InitialState(10.0, same))
+    assert init != InitialState(11.0, same)
+    assert init != InitialState(10.0, hist.resample(100))

@@ -272,3 +272,141 @@ class TestDominance:
     def test_margin_must_be_positive(self, params):
         with pytest.raises(ValueError):
             dominance_certificate(params, margin=0.0)
+
+
+def _count_zeros_complex(params, re_lo, re_hi, im_half, points=4096):
+    """count_zeros before the factored contour: one complex exponential per
+    sample and the angles of the ratios of consecutive values."""
+    winding = math.nan
+    for attempt in range(4):
+        n = points * 2**attempt
+        side = np.linspace(0.0, 1.0, n, endpoint=False)
+        bottom = re_lo + (re_hi - re_lo) * side - 1j * im_half
+        right = re_hi + 1j * (-im_half + 2 * im_half * side)
+        top = re_hi - (re_hi - re_lo) * side + 1j * im_half
+        left = re_lo + 1j * (im_half - 2 * im_half * side)
+        contour = np.concatenate([bottom, right, top, left])
+        z = contour + params.eta
+        values = z - params.eps * (1.0 - np.exp(-z * params.tau))
+        if np.any(values == 0.0):
+            continue
+        ratios = np.roll(values, -1) / values
+        winding = float(np.angle(ratios).sum() / (2.0 * math.pi))
+        if abs(winding - round(winding)) < 1e-3:
+            return int(round(winding))
+    raise ContourError(f"winding number {winding:.6f} not integral after refinement")
+
+
+def _outcome(count, *args, **kwargs):
+    try:
+        return count(*args, **kwargs)
+    except ContourError:
+        return "ContourError"
+
+
+class TestFactoredContour:
+    """The side-by-side real evaluation of the contour against the complex one."""
+
+    def test_matches_complex_count_on_random_boxes(self):
+        rng = np.random.default_rng(2024)
+        counts = set()
+        with np.errstate(all="ignore"):
+            for _ in range(2000):
+                eta = 10 ** rng.uniform(-2, 2)
+                p = mk(eta * 10 ** rng.uniform(-2, 0), eta, 10 ** rng.uniform(-2, 1.5))
+                lam0 = real_root(p)
+                margin = 10 ** rng.uniform(-3, 1)
+                Q = 4 * math.pi / p.tau if rng.uniform() < 0.5 else 10 ** rng.uniform(-3, 2)
+                box = (lam0 - margin, lam0 + margin, Q)
+                want = _outcome(_count_zeros_complex, p, *box)
+                assert _outcome(count_zeros, p, *box) == want, (p, box)
+                counts.add(want)
+        # boxes holding complex roots, not just lambda0, were drawn
+        assert {1, 2, 3} <= counts
+
+    def test_minus_eta_in_box(self):
+        # eps*tau = 1 puts lambda0 at -eta; eps*tau near 1 keeps it close by
+        for eps, tau in ((0.5, 2.0), (0.5, 1.9), (0.7, 1.5)):
+            p = mk(eps, 1.0, tau)
+            lam0 = real_root(p)
+            for margin in (0.05, 0.1, 0.5):
+                box = (lam0 - margin, lam0 + margin, 4 * math.pi / tau)
+                expected = 2 if box[0] < -p.eta < box[1] else 1
+                assert count_zeros(p, *box) == _count_zeros_complex(p, *box) == expected
+
+    def test_thin_boxes(self, params):
+        lam0 = real_root(params)
+        for half_width, Q in ((1e-6, 1e-6), (1e-4, 1e-3), (1e-3, 50.0), (5.0, 1e-5)):
+            box = (lam0 - half_width, lam0 + half_width, Q)
+            expected = 2 if box[0] < -params.eta < box[1] else 1
+            assert count_zeros(params, *box) == _count_zeros_complex(params, *box) == expected
+
+    def test_complex_root_box_at_8192_points(self, params):
+        lam0 = real_root(params)
+        box = (lam0 - 6.0, lam0 + 0.1, 25.0)
+        want = _count_zeros_complex(params, *box, points=8192)
+        assert want > 1
+        assert count_zeros(params, *box, points=8192) == want
+
+    def test_rescaled_samples_match(self):
+        # exp(-(re_lo + eta) tau) near e^500: the phase products would
+        # overflow unless each sample is rescaled first
+        p = mk(0.05, 1.0, 50.0)
+        lam0 = real_root(p)
+        for margin in (9.0, 10.0, 12.0):
+            box = (lam0 - margin, lam0 + margin, 4 * math.pi / p.tau)
+            assert -(box[0] + p.eta) * p.tau > 400.0
+            assert count_zeros(p, *box) == _count_zeros_complex(p, *box) == 4
+        # beyond e^709 the samples overflow: refused, not a traceback
+        with np.errstate(all="ignore"), pytest.raises(ContourError):
+            count_zeros(p, lam0 - 15.0, lam0 + 15.0, 4 * math.pi / p.tau)
+
+    def test_sides_match_kernel_numerator(self):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            eta = 10 ** rng.uniform(-2, 2)
+            p = mk(eta * 10 ** rng.uniform(-2, 0), eta, 10 ** rng.uniform(-2, 1.5))
+            lam0 = real_root(p)
+            margin = 10 ** rng.uniform(-3, 1)
+            re_lo, re_hi, Q = lam0 - margin, lam0 + margin, 10 ** rng.uniform(-2, 2)
+            n = 256
+            side = np.linspace(0.0, 1.0, n, endpoint=False)
+            buf = np.empty((5, 4 * n + 1))
+            spectral._contour_values(p, re_lo, re_hi, Q, side, buf)
+            contour = np.concatenate([
+                re_lo + (re_hi - re_lo) * side - 1j * Q,
+                re_hi + 1j * (-Q + 2 * Q * side),
+                re_hi - (re_hi - re_lo) * side + 1j * Q,
+                re_lo + 1j * (Q - 2 * Q * side),
+            ])
+            want = spectral._kernel_numerator(contour, p)
+            z = contour + p.eta
+            scale = np.abs(z.real) + np.abs(z.imag) + p.eps * (1.0 + np.exp(-z.real * p.tau))
+            tol = 8 * np.finfo(float).eps * scale
+            assert np.all(np.abs(buf[0, :-1] - want.real) <= tol)
+            assert np.all(np.abs(buf[1, :-1] - want.imag) <= tol)
+            # the last sample closes the contour
+            assert (buf[0, -1], buf[1, -1]) == (buf[0, 0], buf[1, 0])
+
+    def test_zero_at_every_sample_is_contour_error(self, params, monkeypatch):
+        def zeros(params, re_lo, re_hi, im_half, side, out):
+            out[:2] = 0.0
+
+        monkeypatch.setattr(spectral, "_contour_values", zeros)
+        with pytest.raises(ContourError):
+            count_zeros(params, -1.0, 1.0, 1.0, points=16)
+
+    def test_spectral_report_bisects_once(self, params, history, monkeypatch):
+        calls = []
+        original = spectral.real_root
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "real_root", counting)
+        rep = spectral_report(params, history, margin=0.1)
+        assert len(calls) == 1
+        assert rep.lambda0 == original(params)
+        assert rep.p0 == leading_coefficient(params, history)
+        assert rep.certificate == dominance_certificate(params, margin=0.1)
