@@ -189,6 +189,15 @@ def _build_history(entry, tau: float, n: int) -> HistoryGrid:
     raise ScenarioError(f"unknown history kind {kind!r}")
 
 
+def _whole_number(key: str, value) -> int:
+    """An integer numerics entry; a bool, string or fractional number is an error."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    ):
+        raise ScenarioError(f"numerics.{key} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def load_scenario(path) -> Scenario:
     """Parse and validate a scenario file (raises ScenarioError on any defect)."""
     try:
@@ -232,19 +241,26 @@ def load_scenario(path) -> Scenario:
     unknown = set(nblock) - known
     if unknown:
         raise ScenarioError(f"unknown keys in numerics block: {sorted(unknown)}")
+    for key in ("n", "oracle_m", "trials", "ascent_iters", "seed"):
+        if key in nblock:
+            nblock[key] = _whole_number(key, nblock[key])
+    if "oracle" in nblock and not isinstance(nblock["oracle"], bool):
+        raise ScenarioError(f"numerics.oracle must be true or false, got {nblock['oracle']!r}")
     try:
-        for key in ("n", "oracle_m", "trials", "ascent_iters", "seed"):
-            if key in nblock:
-                nblock[key] = int(nblock[key])
         for key in ("horizon", "oracle_horizon", "margin"):
             if key in nblock and nblock[key] is not None:
                 nblock[key] = float(nblock[key])
         tolerances = {name: float(value) for name, value in tolerances.items()}
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"numerics block: {exc}") from exc
+    bad_tols = {name: value for name, value in tolerances.items() if not value >= 0.0}
+    if bad_tols:
+        raise ScenarioError(f"tolerances must be >= 0 and not NaN, got {bad_tols}")
     numerics = Numerics(**nblock, tolerances=tolerances)
     if numerics.n < 2 or numerics.oracle_m < 2 or numerics.trials < 0:
         raise ScenarioError("numerics entries must be positive")
+    if numerics.ascent_iters < 1:
+        raise ScenarioError(f"numerics.ascent_iters must be >= 1, got {numerics.ascent_iters}")
     if not (math.isfinite(numerics.margin) and numerics.margin > 0.0):
         raise ScenarioError(f"numerics.margin must be finite and > 0, got {numerics.margin!r}")
     if numerics.seed < 0:

@@ -22,12 +22,23 @@ marginal utilities against the habit kernel plus the salvage's terminal
 sensitivity; it is derived from J alone (and tested against finite
 differences of J), never from the closed-form policy.  Agreement
 of max J with the closed-form value is then evidence, not circularity.
+
+Each control goes through the forward pass once.  A ``DiscreteProblem``
+keeps a one-entry cache: the last control it forward-simulated, keyed by
+the exact bytes of the float64 vector, with its read-only habit and
+``ObjectiveParts``.  So the candidate ``project_feasible`` returns
+unchanged is scored, and its gradient taken, without correlating its
+habit again.  A hit means the very same float64 values (0.0 and -0.0
+differ, and a control mutated in place no longer matches), so it is
+bitwise what a fresh evaluation gives.  The entry lives on the problem
+instance; nothing is cached at module level.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -67,11 +78,31 @@ def grid_cells(tau: float, T: float, m: int) -> int:
     return n_tau
 
 
+def _read_only(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.flags.writeable = False
+
+
+@dataclass(slots=True)
+class _Forward:
+    """The forward pass of one control: its exact bytes, habit and score."""
+
+    key: bytes
+    habit: np.ndarray
+    parts: ObjectiveParts | None = None
+
+
 class DiscreteProblem:
     """Grid, kernels, and cached weights for the discrete objective.
 
     ``m`` steps on [0, T]; the step T/m must divide tau (the habit window
     must be a whole number of grid cells) and T must exceed tau.
+
+    The problem remembers the last control it forward-simulated, keyed by
+    the exact bytes of the float64 vector, with its habit and (once
+    ``objective_breakdown`` has scored it) its ``ObjectiveParts``.
+    ``habit`` and ``objective_breakdown`` look there first.  Their arrays
+    are read-only, so a caller cannot alter what a later hit returns.
     """
 
     def __init__(self, params: ModelParams, init: InitialState, T: float, m: int):
@@ -115,20 +146,71 @@ class DiscreteProblem:
         wt = np.ones(m + 1)
         wt[0] = wt[-1] = 0.5
         self.wt = wt
+        # quadrature weight of the running utility, dt * w * exp(-rho t)
+        self.quad_w = dt * wt * self.disc_rho
         # terminal discounted window: integral over [T-tau, T] of e^{r(T-s)} c(s) ds
         self.wker = dt * np.exp(r * (params.tau - i * dt))
         self.wker[0] *= 0.5
         self.wker[-1] *= 0.5
         self.q = habit_weight(params)
         self.b = r + params.eta
+        self._last: _Forward | None = None
+
+    # -- constant pieces of the gradients ------------------------------------
+
+    @cached_property
+    def excess_patterns(self) -> tuple[np.ndarray, np.ndarray]:
+        """d excess[i+l] / d c_i for l = 0..n_tau: generic node, and node 0.
+
+        Coordinate 0 sits at the history/control breakpoint: it has halved
+        influence on later habits and none on h_0.
+        """
+        p_generic = -self.kerw[::-1]  # dh_{i+l}/dc_i = kerw[n_tau - l] for i >= 1
+        p_generic[0] += 1.0
+        sens0 = 0.5 * self.kbase[::-1]
+        sens0[0] = 0.0
+        p0 = -sens0
+        p0[0] += 1.0
+        _read_only(p_generic, p0)
+        return p_generic, p0
+
+    @cached_property
+    def terminal_sensitivity(self) -> np.ndarray:
+        """dG_T/dc_i through k_T, h_T and the terminal window (constant in c)."""
+        m = self.m
+        dk_T = -self.dt * self.wt * np.exp(self.params.r * (self.T - self.t))
+        tail = np.arange(m - self.n_tau, m + 1)
+        dh_T = np.zeros(m + 1)
+        dh_T[tail] = self.kerw[tail - (m - self.n_tau)]  # dh_m/dc_i = kerw[n_tau-(m-i)]
+        dW_T = np.zeros(m + 1)
+        dW_T[tail] = self.wker
+        dG = self.derived.kappa0 * dk_T - dh_T / self.b + self.q * dW_T
+        _read_only(dG)
+        return dG
 
     # -- forward pass -------------------------------------------------------
+
+    def _forward(self, controls: np.ndarray) -> _Forward:
+        """The entry of a float64 control, correlating its habit on a miss."""
+        key = controls.tobytes()
+        last = self._last
+        if last is None or last.key != key:
+            h = self._correlate(controls)
+            _read_only(h)
+            last = self._last = _Forward(key, h)
+        return last
 
     def habit(self, controls: np.ndarray) -> np.ndarray:
         """Habit at every node for the concatenated (history, controls) path.
 
-        One sliding correlation against the window kernel, with the
-        history's left limit and the control's start sharing the t = 0
+        Read-only; the last control's habit is reused (see the class).
+        """
+        return self._forward(np.asarray(controls, dtype=float)).habit
+
+    def _correlate(self, controls: np.ndarray) -> np.ndarray:
+        """The habit from one sliding correlation against the window kernel.
+
+        The history's left limit and the control's start share the t = 0
         slot; the correction vectors restore the half-weights both
         one-sided values carry in windows that straddle the jump.
         """
@@ -169,14 +251,25 @@ class ObjectiveParts:
 
 
 def objective_breakdown(problem: DiscreteProblem, controls: np.ndarray) -> ObjectiveParts:
-    """Forward-simulate habit and capital from the controls and score them."""
+    """Forward-simulate habit and capital from the controls and score them.
+
+    The parts of the problem's last control are reused; their arrays are
+    read-only.
+    """
     controls = np.asarray(controls, dtype=float)
     if controls.shape != (problem.m + 1,):
         raise ValueError(f"controls must have shape ({problem.m + 1},)")
+    entry = problem._forward(controls)
+    if entry.parts is None:
+        entry.parts = _score(problem, controls, entry.habit)
+    return entry.parts
+
+
+def _score(problem: DiscreteProblem, controls: np.ndarray, h: np.ndarray) -> ObjectiveParts:
     gamma = problem.params.gamma
-    h = problem.habit(controls)
     k = problem.capital(controls)
     excess = controls - h
+    _read_only(k, excess)
     scale = max(1.0, float(np.max(np.abs(controls))))
     tol = FEAS_TOL * scale
     feasible = bool(
@@ -204,33 +297,6 @@ def evaluate_objective(problem: DiscreteProblem, controls: np.ndarray) -> float:
 
 def _default_fdh(controls: np.ndarray) -> float:
     return 1e-6 * max(1.0, float(np.mean(np.abs(controls))))
-
-
-def _excess_patterns(problem: DiscreteProblem) -> tuple[np.ndarray, np.ndarray]:
-    """d excess[i+l] / d c_i for l = 0..n_tau: generic node, and node 0.
-
-    Coordinate 0 sits at the history/control breakpoint: it has halved
-    influence on later habits and none on h_0.
-    """
-    p_generic = -problem.kerw[::-1]  # dh_{i+l}/dc_i = kerw[n_tau - l] for i >= 1
-    p_generic[0] += 1.0
-    sens0 = 0.5 * problem.kbase[::-1]
-    sens0[0] = 0.0
-    p0 = -sens0
-    p0[0] += 1.0
-    return p_generic, p0
-
-
-def _terminal_sensitivity(problem: DiscreteProblem) -> np.ndarray:
-    """dG_T/dc_i through k_T, h_T and the terminal window (constant in c)."""
-    m = problem.m
-    dk_T = -problem.dt * problem.wt * np.exp(problem.params.r * (problem.T - problem.t))
-    tail = np.arange(m - problem.n_tau, m + 1)
-    dh_T = np.zeros(m + 1)
-    dh_T[tail] = problem.kerw[tail - (m - problem.n_tau)]  # dh_m/dc_i = kerw[n_tau-(m-i)]
-    dW_T = np.zeros(m + 1)
-    dW_T[tail] = problem.wker
-    return problem.derived.kappa0 * dk_T - dh_T / problem.b + problem.q * dW_T
 
 
 def _feasible_parts(problem: DiscreteProblem, controls: np.ndarray, who: str):
@@ -261,13 +327,13 @@ def gradient(problem: DiscreteProblem, controls: np.ndarray) -> np.ndarray:
     if np.any(zero):
         fdh = _default_fdh(controls)
         du[zero] = _u(fdh, gamma) / fdh
-    a = problem.dt * problem.wt * problem.disc_rho * du
-    p_generic, p0 = _excess_patterns(problem)
+    a = problem.quad_w * du
+    p_generic, p0 = problem.excess_patterns
     L = problem.n_tau + 1
     g = np.correlate(np.concatenate([a, np.zeros(L - 1)]), p_generic, mode="valid")
     g[0] = float(a[:L] @ p0)
     d_salvage = problem.disc_rho[-1] * problem.derived.nu * (1.0 - gamma) * G_T**-gamma
-    return g + d_salvage * _terminal_sensitivity(problem)
+    return g + d_salvage * problem.terminal_sensitivity
 
 
 def fd_gradient(problem: DiscreteProblem, controls: np.ndarray, fdh: float | None = None) -> np.ndarray:
@@ -288,20 +354,19 @@ def fd_gradient(problem: DiscreteProblem, controls: np.ndarray, fdh: float | Non
 
     # window matrices, padded past T with weight zero (pad value is benign)
     pad_exc = np.concatenate([exc, np.ones(L - 1)])
-    wts = problem.dt * problem.wt * problem.disc_rho
-    pad_wts = np.concatenate([wts, np.zeros(L - 1)])
+    pad_wts = np.concatenate([problem.quad_w, np.zeros(L - 1)])
     E = np.lib.stride_tricks.sliding_window_view(pad_exc, L)
     Wm = np.lib.stride_tricks.sliding_window_view(pad_wts, L)
 
     # excess perturbation pattern: delta_exc[i+l] = fdh * P[i, l]
-    p_generic, p0 = _excess_patterns(problem)
+    p_generic, p0 = problem.excess_patterns
     P = np.broadcast_to(p_generic, (m + 1, L)).copy()
     P[0] = p0
 
     dU = (_u(E + fdh * P, gamma) - _u(E, gamma)) * Wm
     d_running = dU.sum(axis=1)
 
-    dG = _terminal_sensitivity(problem)
+    dG = problem.terminal_sensitivity
     d_salv = problem.disc_rho[-1] * problem.derived.nu * (
         (G_T + fdh * dG) ** (1.0 - gamma) - G_T ** (1.0 - gamma)
     )
@@ -493,7 +558,7 @@ def projected_ascent(
     J = evaluate_objective(problem, c)
     if not math.isfinite(J):
         raise ValueError("projected_ascent needs a feasible start")
-    precond = problem.dt * problem.wt * problem.disc_rho
+    precond = problem.quad_w
     g = gradient(problem, c)
     step = 1.0 / max(float(np.max(np.abs(g / precond))), 1e-12)
     best_c, best_J = c.copy(), J

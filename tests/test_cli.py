@@ -477,6 +477,62 @@ class TestNumericsValidation:
         assert not (tmp_path / "out").exists()
 
 
+class TestOracleAndToleranceValidation:
+    """Oracle settings, integer numerics and tolerances the run cannot use end in exit 3."""
+
+    @pytest.mark.parametrize(
+        "numerics",
+        [
+            {"ascent_iters": 0},
+            {"ascent_iters": -5},
+            {"tolerances": {"g_drift": -1.0}},
+            {"tolerances": {"g_drift": float("nan")}},
+            {"tolerances": {"ascent": -1.0}},
+            {"tolerances": {"ascent": float("nan")}},
+            {"n": 2.7},
+            {"oracle_m": 2000.5},
+            {"trials": 20.5},
+            {"ascent_iters": 1.5},
+            {"seed": 4.2},
+            {"trials": True},
+            {"seed": False},
+            {"oracle": "no"},
+        ],
+        ids=[
+            "ascent_iters-zero",
+            "ascent_iters-negative",
+            "g_drift-negative",
+            "g_drift-nan",
+            "ascent-negative",
+            "ascent-nan",
+            "n-fractional",
+            "oracle_m-fractional",
+            "trials-fractional",
+            "ascent_iters-fractional",
+            "seed-fractional",
+            "trials-bool",
+            "seed-bool",
+            "oracle-string",
+        ],
+    )
+    def test_bad_setting_is_exit_3(self, tmp_path, capsys, numerics):
+        path = write_scenario(tmp_path, numerics=numerics)
+        assert run(path, tmp_path / "out") == 3
+        assert capsys.readouterr().out.strip().splitlines()[-1].startswith("RESULT error parse:scenario")
+        assert not (tmp_path / "out").exists()
+        assert sweep(path, "k0", [1.0], tmp_path / "sweep") == 3
+        assert capsys.readouterr().out.strip().splitlines()[-1].startswith("RESULT error parse:scenario")
+
+    def test_whole_numbers_and_zero_tolerance_load(self, tmp_path):
+        path = write_scenario(
+            tmp_path,
+            numerics={"n": 200.0, "ascent_iters": 1, "oracle": False, "tolerances": {"ascent": 0.0}},
+        )
+        num = load_scenario(path).numerics
+        assert num.n == 200 and type(num.n) is int
+        assert num.ascent_iters == 1 and num.oracle is False and num.tol("ascent") == 0.0
+
+
 def _count_calls(monkeypatch, module, name, calls):
     original = getattr(module, name)
 

@@ -20,7 +20,14 @@ from akhabit import (
     simulate_integral_form,
     value_function,
 )
-from akhabit.oracle import fd_gradient, fd_gradient_naive, gradient, project_feasible
+from akhabit import oracle
+from akhabit.oracle import (
+    ObjectiveParts,
+    fd_gradient,
+    fd_gradient_naive,
+    gradient,
+    project_feasible,
+)
 
 
 @pytest.fixture(scope="module")
@@ -337,3 +344,140 @@ class TestAscentCounters:
         cm = minimal_consumption(params, init.history, T=6.0, n=100)
         res = projected_ascent(prob, cm.values + 0.5, iters=600)
         assert res.projections <= 1.5 * res.iterations
+
+
+def habit_uncached(problem, controls):
+    """Literal copy of the habit correlation without the last-control cache (reference)."""
+    hv = problem.init.history.values
+    cc = np.concatenate([hv[:-1], [problem.hist_end + controls[0]], controls[1:]])
+    h = np.correlate(cc, problem.kerw, mode="valid")
+    return h - problem._vH * problem.hist_end - problem._vC * controls[0]
+
+
+def objective_uncached(problem, controls):
+    """Literal copy of objective_breakdown without the last-control cache (reference)."""
+    controls = np.asarray(controls, dtype=float)
+    gamma = problem.params.gamma
+    h = habit_uncached(problem, controls)
+    k = problem.capital(controls)
+    excess = controls - h
+    scale = max(1.0, float(np.max(np.abs(controls))))
+    tol = 1e-9 * scale
+    feasible = bool(
+        np.all(controls >= -tol) and np.all(excess >= -tol) and np.all(k >= -tol * problem.init.k0)
+    )
+    if not feasible:
+        return ObjectiveParts(-math.inf, -math.inf, 0.0, False, excess, h, k)
+    exc = np.maximum(excess, 0.0)
+    if gamma > 1.0 and np.any(exc == 0.0):
+        return ObjectiveParts(-math.inf, -math.inf, 0.0, False, excess, h, k)
+    u = problem.disc_rho * exc ** (1.0 - gamma) / (1.0 - gamma)
+    running = problem.dt * float(u @ problem.wt)
+    G_T = problem.terminal_aggregate(controls, float(k[-1]), float(h[-1]))
+    salv = problem.salvage(G_T)
+    return ObjectiveParts(running + salv, running, salv, math.isfinite(salv), excess, h, k)
+
+
+def gradient_uncached(problem, controls):
+    """Literal copy of gradient with its constant pieces rebuilt per call (reference)."""
+    controls = np.asarray(controls, dtype=float)
+    gamma = problem.params.gamma
+    base = objective_uncached(problem, controls)
+    G_T = problem.terminal_aggregate(controls, float(base.capital[-1]), float(base.habit[-1]))
+    exc = np.maximum(base.excess, 0.0)
+    du = exc**-gamma
+    a = problem.dt * problem.wt * problem.disc_rho * du
+    p_generic = -problem.kerw[::-1]
+    p_generic[0] += 1.0
+    sens0 = 0.5 * problem.kbase[::-1]
+    sens0[0] = 0.0
+    p0 = -sens0
+    p0[0] += 1.0
+    L = problem.n_tau + 1
+    g = np.correlate(np.concatenate([a, np.zeros(L - 1)]), p_generic, mode="valid")
+    g[0] = float(a[:L] @ p0)
+    m = problem.m
+    dk_T = -problem.dt * problem.wt * np.exp(problem.params.r * (problem.T - problem.t))
+    tail = np.arange(m - problem.n_tau, m + 1)
+    dh_T = np.zeros(m + 1)
+    dh_T[tail] = problem.kerw[tail - (m - problem.n_tau)]
+    dW_T = np.zeros(m + 1)
+    dW_T[tail] = problem.wker
+    dG = problem.derived.kappa0 * dk_T - dh_T / problem.b + problem.q * dW_T
+    d_salvage = problem.disc_rho[-1] * problem.derived.nu * (1.0 - gamma) * G_T**-gamma
+    return g + d_salvage * dG
+
+
+def same_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+class TestLastControlCache:
+    @pytest.fixture
+    def setup600(self, params, init):
+        prob = DiscreteProblem(params, init, T=6.0, m=600)
+        c = simulate_integral_form(params, init, T=6.0, n=100).c
+        start = minimal_consumption(params, init.history, T=6.0, n=100).values + 0.5
+        return prob, c, start
+
+    def test_in_place_mutation_is_rescored(self, params, init, setup600):
+        prob, c, _ = setup600
+        c = c.copy()
+        first = objective_breakdown(prob, c)
+        c[300] += 0.01
+        again = objective_breakdown(prob, c)
+        fresh = objective_breakdown(DiscreteProblem(params, init, T=6.0, m=600), c)
+        assert again is not first
+        assert same_bits(again.J, fresh.J) and same_bits(again.running, fresh.running)
+        for name in ("excess", "habit", "capital"):
+            assert same_bits(getattr(again, name), getattr(fresh, name))
+        assert same_bits(prob.habit(c), habit_uncached(prob, c))
+        # 0.0 and -0.0 are different keys
+        z = np.zeros(prob.m + 1)
+        prob.habit(z)
+        assert prob.habit(-z) is not prob.habit(z)
+
+    def test_returned_arrays_are_read_only(self, setup600):
+        prob, c, _ = setup600
+        parts = objective_breakdown(prob, c)
+        for arr in (prob.habit(c), parts.excess, parts.habit, parts.capital,
+                    prob.terminal_sensitivity, *prob.excess_patterns):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        assert objective_breakdown(prob, c) is parts
+
+    def test_each_control_is_correlated_once(self, setup600, monkeypatch):
+        prob, c, start = setup600
+        correlated = []
+        correlate = prob._correlate
+
+        def recording(controls):
+            correlated.append(controls.tobytes())
+            return correlate(controls)
+
+        monkeypatch.setattr(prob, "_correlate", recording)
+        perturbation_test(prob, c, trials=20, seed=5)
+        res = projected_ascent(prob, start, iters=100)
+        assert res.iterations > 10
+        assert len(correlated) > 20 + res.iterations
+        assert len(set(correlated)) == len(correlated)
+
+    def test_bitwise_equal_to_uncached_copy(self, setup600, monkeypatch):
+        prob, c, start = setup600
+        scored = []
+        evaluate = oracle.evaluate_objective
+
+        def recording(problem, controls):
+            J = evaluate(problem, controls)
+            scored.append((np.array(controls, dtype=float), J))
+            return J
+
+        monkeypatch.setattr(oracle, "evaluate_objective", recording)
+        perturbation_test(prob, c, trials=20, seed=5)
+        n_perturbation = len(scored)
+        res = projected_ascent(prob, start, iters=100)
+        assert n_perturbation >= 20 and len(scored) - n_perturbation > res.iterations
+        for controls, J in scored:
+            assert J.hex() == objective_uncached(prob, controls).J.hex()
+        for controls in (c, res.controls, scored[n_perturbation][0]):
+            assert same_bits(gradient(prob, controls), gradient_uncached(prob, controls))
