@@ -84,15 +84,15 @@ class Scenario:
 
     @property
     def horizon(self) -> float:
-        return self.numerics.horizon if self.numerics.horizon else 8.0 * self.params.tau
+        if self.numerics.horizon is None:
+            return 8.0 * self.params.tau
+        return self.numerics.horizon
 
     @property
     def oracle_horizon(self) -> float:
-        return (
-            self.numerics.oracle_horizon
-            if self.numerics.oracle_horizon
-            else 10.0 * self.params.tau
-        )
+        if self.numerics.oracle_horizon is None:
+            return 10.0 * self.params.tau
+        return self.numerics.oracle_horizon
 
     def check_consistency(self) -> None:
         """Raise ScenarioError unless the grids fit the memory length.
@@ -202,7 +202,8 @@ def load_scenario(path) -> Scenario:
     """Parse and validate a scenario file (raises ScenarioError on any defect)."""
     try:
         with open(path) as fh:
-            raw = yaml.safe_load(fh)
+            # libyaml's loader when PyYAML was built with it
+            raw = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario {path}: {exc}", code="io:read") from exc
     except yaml.YAMLError as exc:
@@ -263,6 +264,10 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"numerics.ascent_iters must be >= 1, got {numerics.ascent_iters}")
     if not (math.isfinite(numerics.margin) and numerics.margin > 0.0):
         raise ScenarioError(f"numerics.margin must be finite and > 0, got {numerics.margin!r}")
+    for key in ("horizon", "oracle_horizon"):
+        value = getattr(numerics, key)
+        if value is not None and not math.isfinite(value):
+            raise ScenarioError(f"numerics.{key} must be finite, got {value!r}")
     if numerics.seed < 0:
         raise ScenarioError(f"numerics.seed must be >= 0, got {numerics.seed}")
 

@@ -34,13 +34,15 @@ assumption.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import dde
+from .decimal17 import encode_rows
 from .errors import CoarseGridError, ConstraintError, InconsistencyError
 from .hjb import aggregate, habit_weight
 from .model import HistoryGrid, InitialState, ModelParams, validate
@@ -65,7 +67,8 @@ class Trajectory:
 
     ``lambda_check`` is the relative gap |c - h - Lambda e^(Gamma t)|
     against the predicted excess; ``external_residual`` the symmetric
-    relative residual of the external-habit policy formula at each node.
+    relative residual of the external-habit policy formula at each node,
+    computed when first read.
     ``history`` is the consumption history at the simulation resolution,
     kept so that window quadratures can be re-run on the trajectory.
     """
@@ -77,16 +80,22 @@ class Trajectory:
     G: np.ndarray
     c_minus_h: np.ndarray
     lambda_check: np.ndarray
-    external_residual: np.ndarray
     Lambda: float
     Gamma: float
     method: str
     history: HistoryGrid
     degenerate: bool = False
+    # the parameters the path was simulated under, for external_residual
+    _params: ModelParams = field(kw_only=True, repr=False, compare=False)
 
     @property
     def dt(self) -> float:
         return float(self.t[1] - self.t[0])
+
+    @functools.cached_property
+    def external_residual(self) -> np.ndarray:
+        # a window quadrature over the whole path, computed on first read
+        return external_residual_profile(self, self._params)
 
     def write_csv(self, path) -> None:
         """CSV with one row per node, 17-significant-digit decimals."""
@@ -98,24 +107,27 @@ class Trajectory:
         )
 
 
-#: rows formatted per write by write_csv; a larger chunk writes no faster
-#: and holds more formatted rows in memory at once
-CSV_CHUNK = 256
+#: values formatted per chunk by write_csv (CSV_CHUNK // columns rows, at least
+#: one); the chunk bounds the formatter's transient memory at about 200 bytes
+#: per value, and a larger one saves only the numpy calls' fixed cost per chunk
+CSV_CHUNK = 2048
 
 
 def write_csv(path, header: str, columns) -> None:
     """CSV of equal-length columns under ``header``, 17-significant-digit decimals.
 
-    Rows are formatted a chunk at a time from Python floats with one
-    ``%.17g`` row template, so memory stays bounded by the chunk.
+    The text is exactly that of ``'%.17g' % v`` for every value.  A chunk
+    of rows is formatted at once by ``decimal17.encode_rows``, all columns
+    in one vectorised pass with a per-value ``'%.17g'`` fallback, so
+    memory stays bounded by the chunk.
     """
-    template = ",".join(["%.17g"] * len(columns)) + "\n"
+    step = max(1, CSV_CHUNK // len(columns))
     rows = len(columns[0])
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for lo in range(0, rows, CSV_CHUNK):
-            chunk = [np.asarray(col[lo : lo + CSV_CHUNK]).tolist() for col in columns]
-            fh.write("".join(template % row for row in zip(*chunk)))
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        for lo in range(0, rows, step):
+            block = np.column_stack([col[lo : lo + step] for col in columns])
+            fh.write(encode_rows(block))
 
 
 @dataclass(frozen=True)
@@ -237,7 +249,6 @@ def _finalize(params, der, hist, Lam, degenerate, method, t, k, c, h, G):
         )
     else:
         lam_check = np.abs(c_minus_h)
-    resid = _external_profile(params, hist, t, k, c, h, Lam)
     return Trajectory(
         t=t,
         k=k,
@@ -246,12 +257,12 @@ def _finalize(params, der, hist, Lam, degenerate, method, t, k, c, h, G):
         G=G,
         c_minus_h=c_minus_h,
         lambda_check=lam_check,
-        external_residual=resid,
         Lambda=Lam,
         Gamma=der.Gamma,
         method=method,
         history=hist,
         degenerate=degenerate,
+        _params=params,
     )
 
 
@@ -344,7 +355,11 @@ def simulate_integral_form(
                 t=j * dt,
             )
     G[1:] = kappa0 * k[1:] - h[1:] / b + q * (W_known[1:] + (dt / 2.0) * c[1:])
-    return _finalize(params, der, hist, Lam, degenerate, "integral", t, k, c, h, G)
+    traj = _finalize(params, der, hist, Lam, degenerate, "integral", t, k, c, h, G)
+    # every run judges this path by its external-policy residual, so the
+    # residual is computed with the path; the lambda form's stays unread
+    traj.external_residual
+    return traj
 
 
 def simulate_lambda_form(
@@ -437,19 +452,6 @@ def simulate_lambda_form(
     return _finalize(params, der, hist, Lam, degenerate, "lambda", t, k, c, h, G)
 
 
-def _external_profile(params, hist, t, k, c, h, Lam):
-    der = validate(params)
-    r = params.r
-    b = r + params.eta
-    dt = float(t[1] - t[0])
-    coef = params.eps * math.exp(-params.eta * params.tau) * math.exp(-r * params.tau)
-    floor = RESIDUAL_FLOOR * max(Lam, 0.0) + 1e-300
-    W = window_integrals(hist.values, c, -r, dt)
-    lhs = (c - h) / (r - der.Gamma)
-    rhs = k - (h + params.eps * (1.0 - math.exp(-b * params.tau)) * k - coef * W) / b
-    return np.abs(lhs - rhs) / (np.abs(lhs) + np.abs(rhs) + floor)
-
-
 def external_residual_profile(traj: Trajectory, params: ModelParams) -> np.ndarray:
     """Node-wise residual of the external-habit closed-loop policy formula.
 
@@ -458,9 +460,16 @@ def external_residual_profile(traj: Trajectory, params: ModelParams) -> np.ndarr
     path it must hold identically, so the symmetric relative residual
     |lhs - rhs| / (|lhs| + |rhs| + floor) is zero up to quadrature noise.
     """
-    return _external_profile(
-        params, traj.history, traj.t, traj.k, traj.c, traj.h, traj.Lambda
-    )
+    der = validate(params)
+    r = params.r
+    b = r + params.eta
+    k, c, h = traj.k, traj.c, traj.h
+    coef = params.eps * math.exp(-params.eta * params.tau) * math.exp(-r * params.tau)
+    floor = RESIDUAL_FLOOR * max(traj.Lambda, 0.0) + 1e-300
+    W = window_integrals(traj.history.values, c, -r, traj.dt)
+    lhs = (c - h) / (r - der.Gamma)
+    rhs = k - (h + params.eps * (1.0 - math.exp(-b * params.tau)) * k - coef * W) / b
+    return np.abs(lhs - rhs) / (np.abs(lhs) + np.abs(rhs) + floor)
 
 
 def external_policy_residual(traj: Trajectory, params: ModelParams) -> float:

@@ -596,3 +596,38 @@ class TestSharedKernel:
         shared = (tmp_path / "shared" / "sweep.csv").read_bytes()
         assert shared == (tmp_path / "independent" / "sweep.csv").read_bytes()
         assert len(shared.splitlines()) == len(values) + 1
+
+
+class TestHorizonsAndLoader:
+    @pytest.mark.parametrize("name", ["baseline", "low_curvature"])
+    def test_libyaml_and_python_loaders_agree(self, monkeypatch, name):
+        # load_scenario parses with libyaml's loader where PyYAML has it
+        path = REPO / "scenarios" / f"{name}.yaml"
+        fast = load_scenario(path)
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        slow = load_scenario(path)
+        assert (fast.params, fast.numerics, fast.initial) == (slow.params, slow.numerics, slow.initial)
+
+    @pytest.mark.parametrize(
+        "numerics,no_oracle",
+        [({"horizon": float("inf")}, True), ({"oracle_horizon": float("inf")}, False)],
+        ids=["horizon", "oracle_horizon"],
+    )
+    def test_infinite_horizon_is_exit_3(self, tmp_path, capsys, numerics, no_oracle):
+        path = write_scenario(tmp_path, numerics=numerics)
+        assert run(path, tmp_path / "out", no_oracle=no_oracle) == 3
+        assert sweep(path, "k0", [5.0, 10.0], tmp_path / "sweep") == 3
+        for result in capsys.readouterr().out.strip().splitlines()[-2:]:
+            assert result.startswith("RESULT error parse:scenario")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["horizon", "oracle_horizon"])
+    def test_zero_horizon_is_not_the_default(self, tmp_path, capsys, key):
+        # a zero horizon is refused, not replaced by the 8 tau / 10 tau default
+        path = write_scenario(tmp_path, numerics={key: 0})
+        assert run(path, tmp_path / "out") == 3
+        assert capsys.readouterr().out.strip().splitlines()[-1].startswith(
+            "RESULT error parse:scenario"
+        )
+        with pytest.raises(ScenarioError):
+            load_scenario(path)

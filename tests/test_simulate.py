@@ -201,6 +201,19 @@ class TestExternalEquivalence:
         assert profile[j] >= 1e-3
 
 
+class TestExternalResidualOnRead:
+    def test_lambda_form_computes_it_when_first_read(self, params, init):
+        traj = simulate_lambda_form(params, init, T=8.0, n=400)
+        assert "external_residual" not in vars(traj)
+        assert np.array_equal(traj.external_residual, external_residual_profile(traj, params))
+        assert traj.external_residual is traj.external_residual
+
+    def test_integral_form_computes_it_with_the_path(self, params, init):
+        traj = simulate_integral_form(params, init, T=8.0, n=400)
+        assert "external_residual" in vars(traj)
+        assert np.array_equal(traj.external_residual, external_residual_profile(traj, params))
+
+
 class TestTrajectoryOutput:
     def test_csv_format(self, params, init, tmp_path):
         traj = simulate_integral_form(params, init, T=2.0)
