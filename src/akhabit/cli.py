@@ -4,14 +4,21 @@
 parameter regime, solves the kernel spectrum, checks feasibility of the
 initial data, simulates the closed loop by both integrators, evaluates
 every path invariant, optionally runs the brute-force optimality oracle,
-and writes a trajectory CSV plus structured text and JSON reports.  Exit
-code 0 means every enabled check passed, 1 a check failed, 2 the scenario
-was rejected (regime, feasibility, or degenerate boundary data), 3 an I/O
-or parse problem; the last stdout line is always ``RESULT <status> <code>``.
+and writes a trajectory CSV plus structured text and JSON reports.
 
 ``akhabit sweep scenario.yaml --param tau --values 0.5,1,2`` repeats the
 pipeline per value (one after another, oracle off) and writes a one-row-
 per-value summary CSV.
+
+Every input ends in one exit code and a last stdout line ``RESULT ...``:
+0 every enabled check passed; 1 a check failed, a pipeline stage failed
+(``RESULT error <code>``), or an exception without a code of its own
+(``RESULT error internal:<Type>``, traceback on stderr); 2 the scenario
+was rejected (parameter domain or regime, feasibility, degenerate
+boundary data); 3 an I/O or parse problem.  Each ``numerics`` field
+declares its type and domain (``Numerics``), and the loader holds every
+entry to them.  A sweep row that raises becomes an ``error`` row, and the
+sweep goes on.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ import ast
 import json
 import math
 import sys
+import traceback
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -29,15 +37,9 @@ import numpy as np
 import yaml
 
 from . import dde, oracle, simulate
-from .errors import (
-    AkHabitError,
-    ConstraintError,
-    DomainError,
-    OptimalityViolation,
-    ScenarioError,
-)
+from .errors import AkHabitError, ConstraintError, DomainError, OptimalityViolation, ScenarioError
 from .hjb import StateSample, state_values, value_function
-from .model import DEFAULT_GRID, HistoryGrid, InitialState, ModelParams, validate
+from .model import DEFAULT_GRID, LOG_MAX, HistoryGrid, InitialState, ModelParams, validate
 from .spectral import spectral_report
 
 DEFAULT_TOLERANCES = {
@@ -59,18 +61,81 @@ SWEEP_PARAMS = ("eps", "eta", "tau", "gamma", "rho", "k0")
 # -- scenario files -----------------------------------------------------------
 
 
+def _whole(value) -> int:
+    """An int or a whole float; not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not float(value).is_integer():
+        raise ValueError("must be a whole number")
+    return int(value)
+
+
+def _real(value) -> float:
+    """Anything float() reads, but not a bool."""
+    if isinstance(value, bool):
+        raise ValueError("must be a number, not true or false")
+    return float(value)
+
+
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError("must be true or false")
+    return value
+
+
+def _checked(name: str, value, read, domain=None):
+    """``value`` read as its type by ``read``, then held to ``domain``, a (description, test) pair."""
+    try:
+        got = read(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ScenarioError(f"{name} = {value!r}: {exc}") from None
+    if domain is not None and not domain[1](got):
+        raise ScenarioError(f"{name} = {got!r}: must be {domain[0]}")
+    return got
+
+
+def _mapping(name: str, block, keys, complete: bool = False) -> dict:
+    """``block`` as a mapping of ``keys`` only, all of them if ``complete``; else null is empty."""
+    if block is None and not complete:
+        return {}
+    if not isinstance(block, dict):
+        raise ScenarioError(f"{name} must be a mapping, got {block!r}")
+    unknown = sorted(map(str, set(block) - set(keys)))
+    if unknown:
+        raise ScenarioError(f"unknown keys in {name}: {unknown}")
+    missing = [key for key in keys if complete and key not in block]
+    if missing:
+        raise ScenarioError(f"{name} is missing {missing}")
+    return block
+
+
+def _tolerances(value) -> dict:
+    """Named tolerances, each a number >= 0."""
+    table = _mapping("numerics.tolerances", value, DEFAULT_TOLERANCES)
+    return {k: _checked(f"numerics.tolerances.{k}", v, _real, _at_least(0)) for k, v in table.items()}
+
+
+def _setting(default, read, domain=None):
+    """A Numerics field: its default, its type (a reader) and its domain."""
+    return field(default=default, metadata={"read": read, "domain": domain})
+
+
+def _at_least(lo):
+    return f">= {lo}", lambda v: v >= lo
+
+
 @dataclass(frozen=True)
 class Numerics:
-    n: int = DEFAULT_GRID
-    horizon: float | None = None  # default 8*tau, resolved after parsing
-    margin: float = 0.1
-    oracle: bool = True
-    oracle_horizon: float | None = None  # default 10*tau
-    oracle_m: int = 2000
-    trials: int = 100
-    ascent_iters: int = 400
-    seed: int = 42
-    tolerances: dict = field(default_factory=dict)
+    """Grid and oracle settings.  A null horizon is the default 8 tau (10 tau for the oracle)."""
+
+    n: int = _setting(DEFAULT_GRID, _whole, _at_least(2))
+    horizon: float | None = _setting(None, _real, ("finite", math.isfinite))
+    margin: float = _setting(0.1, _real, ("finite and > 0", lambda v: math.isfinite(v) and v > 0.0))
+    oracle: bool = _setting(True, _flag)
+    oracle_horizon: float | None = _setting(None, _real, ("finite", math.isfinite))
+    oracle_m: int = _setting(2000, _whole, _at_least(2))
+    trials: int = _setting(100, _whole, _at_least(0))
+    ascent_iters: int = _setting(400, _whole, _at_least(1))
+    seed: int = _setting(42, _whole, _at_least(0))
+    tolerances: dict = field(default_factory=dict, metadata={"read": _tolerances, "domain": None})
 
     def tol(self, name: str) -> float:
         return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
@@ -84,15 +149,13 @@ class Scenario:
 
     @property
     def horizon(self) -> float:
-        if self.numerics.horizon is None:
-            return 8.0 * self.params.tau
-        return self.numerics.horizon
+        T = self.numerics.horizon
+        return 8.0 * self.params.tau if T is None else T
 
     @property
     def oracle_horizon(self) -> float:
-        if self.numerics.oracle_horizon is None:
-            return 10.0 * self.params.tau
-        return self.numerics.oracle_horizon
+        T = self.numerics.oracle_horizon
+        return 10.0 * self.params.tau if T is None else T
 
     def check_consistency(self) -> None:
         """Raise ScenarioError unless the grids fit the memory length.
@@ -101,34 +164,39 @@ class Scenario:
         the oracle is on its step must divide tau over a horizon beyond it.
         Every grid the run integrates the minimal plan on must keep its
         implicit weight eps*dt/2 below 1, or ``dde.minimal_consumption``
-        has no step to take.
+        has no step to take.  Over every horizon T the run simulates,
+        e^(r T) must be a finite double (``parse:overflow`` otherwise).
         """
-        if not self.horizon >= self.params.tau:
-            raise ScenarioError(
-                f"horizon {self.horizon:g} must be at least one memory length tau = {self.params.tau:g}"
-            )
-        grids = [self.numerics.n]
-        if self.numerics.oracle:
+        p, num = self.params, self.numerics
+        if not self.horizon >= p.tau:
+            raise ScenarioError(f"horizon {self.horizon:g} is below one memory length tau = {p.tau:g}")
+        grids, horizons = [num.n], [self.horizon]
+        if num.oracle:
+            horizons.append(self.oracle_horizon)
             try:
-                grids.append(
-                    oracle.grid_cells(self.params.tau, self.oracle_horizon, self.numerics.oracle_m)
-                )
+                grids.append(oracle.grid_cells(p.tau, self.oracle_horizon, num.oracle_m))
             except DomainError as exc:
                 raise ScenarioError(
-                    f"oracle grid (oracle_horizon {self.oracle_horizon:g}, oracle_m "
-                    f"{self.numerics.oracle_m}): {exc}"
+                    f"oracle grid (oracle_horizon {self.oracle_horizon:g}, oracle_m {num.oracle_m}): {exc}"
                 ) from exc
         for n in grids:
             # the same arithmetic as dde.minimal_consumption's step check
-            weight = self.params.eps * (self.params.tau / n) / 2.0
+            weight = p.eps * (p.tau / n) / 2.0
             if weight >= 1.0:
                 raise ScenarioError(
                     f"grid of {n} cells per tau is too coarse for the minimal plan: "
                     f"eps*tau/(2n) = {weight:.3g} >= 1"
                 )
+        for T in horizons:
+            # capital returns grow by e^(r T) over a horizon, the paths by at most that
+            if p.r * T > LOG_MAX:
+                raise ScenarioError(f"e^(r T) overflows a double: r = {p.r:g}, T = {T:g}", code="parse:overflow")
 
 
 _ALLOWED_CALLS = {"exp": np.exp, "sin": np.sin, "cos": np.cos, "sqrt": np.sqrt, "abs": np.abs}
+_BINARY_OPS = {
+    ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply, ast.Div: np.divide, ast.Pow: np.power
+}
 
 
 def _eval_history_expr(expr: str, u: np.ndarray) -> np.ndarray:
@@ -141,18 +209,8 @@ def _eval_history_expr(expr: str, u: np.ndarray) -> np.ndarray:
             return float(node.value)
         if isinstance(node, ast.Name) and node.id == "u":
             return u
-        if isinstance(node, ast.BinOp) and isinstance(
-            node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
-        ):
-            a, b = ev(node.left), ev(node.right)
-            ops = {
-                ast.Add: np.add,
-                ast.Sub: np.subtract,
-                ast.Mult: np.multiply,
-                ast.Div: np.divide,
-                ast.Pow: np.power,
-            }
-            return ops[type(node.op)](a, b)
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY_OPS:
+            return _BINARY_OPS[type(node.op)](ev(node.left), ev(node.right))
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
             v = ev(node.operand)
             return v if isinstance(node.op, ast.UAdd) else -v
@@ -170,7 +228,9 @@ def _eval_history_expr(expr: str, u: np.ndarray) -> np.ndarray:
         tree = ast.parse(expr, mode="eval")
     except SyntaxError as exc:
         raise ScenarioError(f"cannot parse history expr {expr!r}: {exc}") from exc
-    return np.broadcast_to(np.asarray(ev(tree), dtype=float), u.shape).copy()
+    with np.errstate(all="ignore"):  # a value that is not finite is refused by HistoryGrid
+        values = np.asarray(ev(tree), dtype=float)
+    return np.broadcast_to(values, u.shape).copy()
 
 
 def _build_history(entry, tau: float, n: int) -> HistoryGrid:
@@ -180,7 +240,7 @@ def _build_history(entry, tau: float, n: int) -> HistoryGrid:
         )
     (kind, value), = entry.items()
     if kind == "constant":
-        return HistoryGrid.constant(float(value), tau, n)
+        return HistoryGrid.constant(_checked("initial.history.constant", value, _real), tau, n)
     if kind == "samples":
         return HistoryGrid(tau, np.asarray(value, dtype=float)).resample(n)
     if kind == "expr":
@@ -189,17 +249,13 @@ def _build_history(entry, tau: float, n: int) -> HistoryGrid:
     raise ScenarioError(f"unknown history kind {kind!r}")
 
 
-def _whole_number(key: str, value) -> int:
-    """An integer numerics entry; a bool, string or fractional number is an error."""
-    if isinstance(value, bool) or not (
-        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    ):
-        raise ScenarioError(f"numerics.{key} must be a whole number, got {value!r}")
-    return int(value)
-
-
 def load_scenario(path) -> Scenario:
-    """Parse and validate a scenario file (raises ScenarioError on any defect)."""
+    """Parse and validate a scenario file (raises ScenarioError on any defect).
+
+    ``params`` holds every ModelParams field as a number, and ``numerics``
+    any Numerics fields, each of its declared type and within its declared
+    domain.  Parameters outside ModelParams' own domain raise its DomainError.
+    """
     try:
         with open(path) as fh:
             # libyaml's loader when PyYAML was built with it
@@ -210,78 +266,25 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"cannot parse scenario {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ScenarioError("scenario must be a mapping with params/initial/numerics")
-    try:
-        pblock = dict(raw["params"])
-        iblock = dict(raw["initial"])
-    except (KeyError, TypeError) as exc:
-        raise ScenarioError(f"scenario missing block: {exc}") from exc
-    nblock = dict(raw.get("numerics") or {})
 
+    names = [f.name for f in fields(ModelParams)]
+    pblock = _mapping("params", raw.get("params"), names, complete=True)
+    params = ModelParams(**{key: _checked(f"params.{key}", pblock[key], _real) for key in names})
+    settings = fields(Numerics)
+    nblock = _mapping("numerics", raw.get("numerics"), [f.name for f in settings])
+    # null is the default where the default is null (the horizons)
+    numerics = Numerics(**{
+        f.name: _checked(f"numerics.{f.name}", nblock[f.name], **f.metadata)
+        for f in settings
+        if f.name in nblock and not (nblock[f.name] is None and f.default is None)
+    })
+    iblock = _mapping("initial", raw.get("initial"), ["k0", "history"], complete=True)
+    k0 = _checked("initial.k0", iblock["k0"], _real)
     try:
-        params = ModelParams(
-            eps=float(pblock.pop("eps")),
-            eta=float(pblock.pop("eta")),
-            tau=float(pblock.pop("tau")),
-            A=float(pblock.pop("A")),
-            delta=float(pblock.pop("delta")),
-            rho=float(pblock.pop("rho")),
-            gamma=float(pblock.pop("gamma")),
-        )
-    except KeyError as exc:
-        raise ScenarioError(f"params block missing {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"params block: {exc}") from exc
-    if pblock:
-        raise ScenarioError(f"unknown keys in params block: {sorted(pblock)}")
-
-    tolerances = dict(nblock.pop("tolerances", {}) or {})
-    unknown_tols = set(tolerances) - set(DEFAULT_TOLERANCES)
-    if unknown_tols:
-        raise ScenarioError(f"unknown tolerance names: {sorted(unknown_tols)}")
-    known = {f.name for f in Numerics.__dataclass_fields__.values()} - {"tolerances"}
-    unknown = set(nblock) - known
-    if unknown:
-        raise ScenarioError(f"unknown keys in numerics block: {sorted(unknown)}")
-    for key in ("n", "oracle_m", "trials", "ascent_iters", "seed"):
-        if key in nblock:
-            nblock[key] = _whole_number(key, nblock[key])
-    if "oracle" in nblock and not isinstance(nblock["oracle"], bool):
-        raise ScenarioError(f"numerics.oracle must be true or false, got {nblock['oracle']!r}")
-    try:
-        for key in ("horizon", "oracle_horizon", "margin"):
-            if key in nblock and nblock[key] is not None:
-                nblock[key] = float(nblock[key])
-        tolerances = {name: float(value) for name, value in tolerances.items()}
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"numerics block: {exc}") from exc
-    bad_tols = {name: value for name, value in tolerances.items() if not value >= 0.0}
-    if bad_tols:
-        raise ScenarioError(f"tolerances must be >= 0 and not NaN, got {bad_tols}")
-    numerics = Numerics(**nblock, tolerances=tolerances)
-    if numerics.n < 2 or numerics.oracle_m < 2 or numerics.trials < 0:
-        raise ScenarioError("numerics entries must be positive")
-    if numerics.ascent_iters < 1:
-        raise ScenarioError(f"numerics.ascent_iters must be >= 1, got {numerics.ascent_iters}")
-    if not (math.isfinite(numerics.margin) and numerics.margin > 0.0):
-        raise ScenarioError(f"numerics.margin must be finite and > 0, got {numerics.margin!r}")
-    for key in ("horizon", "oracle_horizon"):
-        value = getattr(numerics, key)
-        if value is not None and not math.isfinite(value):
-            raise ScenarioError(f"numerics.{key} must be finite, got {value!r}")
-    if numerics.seed < 0:
-        raise ScenarioError(f"numerics.seed must be >= 0, got {numerics.seed}")
-
-    try:
-        k0 = float(iblock.pop("k0"))
-        history = _build_history(iblock.pop("history"), params.tau, int(numerics.n))
-    except KeyError as exc:
-        raise ScenarioError(f"initial block missing {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"initial block: {exc}") from exc
-    if iblock:
-        raise ScenarioError(f"unknown keys in initial block: {sorted(iblock)}")
-    initial = InitialState(k0=k0, history=history)
-    scn = Scenario(params=params, initial=initial, numerics=numerics)
+        history = _build_history(iblock["history"], params.tau, numerics.n)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ScenarioError(f"initial.history: {exc}") from exc
+    scn = Scenario(params=params, initial=InitialState(k0=k0, history=history), numerics=numerics)
     scn.check_consistency()
     return scn
 
@@ -323,11 +326,8 @@ class RunReport:
 
 def _bounded(num: Numerics, **values: float) -> list[Check]:
     """Checks that pass when each value is at most its named tolerance."""
-    checks = []
-    for name, value in values.items():
-        tol = num.tol(name)
-        checks.append(Check(name, value, tol, value <= tol))
-    return checks
+    tols = {name: num.tol(name) for name in values}
+    return [Check(name, value, tols[name], value <= tols[name]) for name, value in values.items()]
 
 
 def _spectral_section(scn: Scenario) -> dict:
@@ -369,6 +369,10 @@ class KernelResults:
     cm: dde.SampledPath
 
 
+class _Rejected(Exception):
+    """A stage's rejection of the scenario; its arguments are the code and the closed_loop section."""
+
+
 def run_pipeline(
     scn: Scenario,
     run_oracle: bool = True,
@@ -381,86 +385,75 @@ def run_pipeline(
     become status "reject"), only for internal failures.  ``kernel`` holds
     the spectral section and c_m of an earlier run of a scenario that
     differs from this one at most in k0, A, delta, rho and gamma; without
-    it the run computes them.
+    it the run computes them.  Warnings are silenced: the checks judge
+    the paths.
     """
     report = RunReport(status="ok", code="")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            seed = scn.numerics.seed if seed is None else seed
+            _stages(report, scn, run_oracle and scn.numerics.oracle, seed, kernel)
+    except _Rejected as exc:
+        report.status = "reject"
+        report.code, report.closed_loop = exc.args
+        return report
+    failed = [c.name for c in report.checks if not c.passed]
+    if failed:
+        report.status, report.code = "fail", "check:" + failed[0]
+    return report
+
+
+def _stages(report: RunReport, scn: Scenario, run_oracle: bool, seed: int, kernel) -> None:
+    """Fill ``report`` stage by stage; a rejection raises _Rejected."""
     checks = report.checks
     num = scn.numerics
-    seed = num.seed if seed is None else seed
-
     try:
         der = validate(scn.params)
     except AkHabitError as exc:
-        report.status, report.code = "reject", exc.code
-        report.closed_loop = {"error": str(exc)}
-        return report
+        raise _Rejected(exc.code, {"error": str(exc)}) from exc
 
-    report.spectral = dict(kernel.spectral) if kernel else _spectral_section(scn)
-    checks.extend(_bounded(num, spectral_residual=abs(report.spectral["residual"])))
-    checks.append(
-        Check(
-            "dominance",
-            float(report.spectral["winding"]),
-            float(report.spectral["winding_expected"]),
-            report.spectral["dominance_verified"],
-        )
-    )
+    report.spectral = spec = dict(kernel.spectral) if kernel else _spectral_section(scn)
+    checks.extend(_bounded(num, spectral_residual=abs(spec["residual"])))
+    dominance = (float(spec["winding"]), float(spec["winding_expected"]), spec["dominance_verified"])
+    checks.append(Check("dominance", *dominance))
 
-    feas = dde.check_feasibility(
-        scn.params,
-        scn.initial,
-        T=scn.horizon,
-        n=num.n,
-        lambda0=report.spectral["lambda0"],
-        cm=kernel.cm if kernel else None,
-    )
+    cm = kernel.cm if kernel else None
+    feas = dde.check_feasibility(scn.params, scn.initial, scn.horizon, num.n, lambda0=spec["lambda0"], cm=cm)
     report.feasibility = _feasibility_section(feas, scn.initial.k0)
     report.feasibility_data = feas
     if not feas.feasible:
-        report.status, report.code = "reject", "infeasible:capital"
-        return report
+        raise _Rejected("infeasible:capital", {})
 
     # the integral form computes Lambda on the run grid, so it runs first
-    # and Lambda is not computed twice; the integrators' warnings are
-    # silenced (the checks below judge the paths), and a failure of either
-    # is held back and reported in the order of the checks, after Lambda
-    # and the hjb section
+    # and Lambda is not computed twice; a failure of either integrator is
+    # held back and reported in the order of the checks, after Lambda and
+    # the hjb section
     failure = None
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    try:
+        traj = simulate.simulate_integral_form(scn.params, scn.initial, scn.horizon, n=num.n)
+        Lam = traj.Lambda
+    except AkHabitError as exc:
+        failure = exc
+        Lam = simulate.lambda_constant(scn.params, scn.initial.resample(num.n))
+    if Lam <= 0.0 or abs(Lam) <= 1e-10 * (1.0 + scn.initial.k0):
+        threshold = simulate.initial_capital_threshold(scn.params, scn.initial.history.resample(num.n))
+        raise _Rejected("lambda:nonpositive", {"Lambda": Lam, "k0_threshold": threshold})
+    if failure is None:
         try:
-            traj = simulate.simulate_integral_form(scn.params, scn.initial, scn.horizon, n=num.n)
-            Lam = traj.Lambda
-        except AkHabitError as exc:
+            traj_l = simulate.simulate_lambda_form(scn.params, scn.initial, scn.horizon, n=num.n)
+        except ConstraintError as exc:
             failure = exc
-            Lam = simulate.lambda_constant(scn.params, scn.initial.resample(num.n))
-        lambda_ok = not (Lam <= 0.0 or abs(Lam) <= 1e-10 * (1.0 + scn.initial.k0))
-        if lambda_ok and failure is None:
-            try:
-                traj_l = simulate.simulate_lambda_form(scn.params, scn.initial, scn.horizon, n=num.n)
-            except ConstraintError as exc:
-                failure = exc
-    if not lambda_ok:
-        report.status, report.code = "reject", "lambda:nonpositive"
-        report.closed_loop = {
-            "Lambda": Lam,
-            "k0_threshold": simulate.initial_capital_threshold(
-                scn.params, scn.initial.history.resample(num.n)
-            ),
-        }
-        return report
 
     # a single state evaluation is cheap, so give the dual-quadrature
     # cross-check inside G_value a fine window regardless of the run grid
     state0 = StateSample(scn.initial.k0, scn.initial.history.resample(max(num.n, 1000)))
     report.hjb = state_values(state0, scn.params)
 
+    if isinstance(failure, ConstraintError):
+        raise _Rejected(failure.code, {"error": str(failure)})
     if failure is not None:
-        if not isinstance(failure, ConstraintError):
-            raise failure
-        report.status, report.code = "reject", failure.code
-        report.closed_loop = {"error": str(failure)}
-        return report
+        raise failure
 
     report.closed_loop = {
         "Lambda": traj.Lambda,
@@ -493,29 +486,23 @@ def run_pipeline(
         "budget_lambda": mon_l.budget_residual,
         "cm_margin_min": mon.cm_margin_min,
     }
-    checks.extend(
-        _bounded(
-            num,
-            g_drift=max(mon.g_drift_max, mon_l.g_drift_max),
-            lambda_law=mon.lambda_gap_max,
-            cross_method=cross,
-            external=ext,
-            budget=max(mon.budget_residual, mon_l.budget_residual),
-        )
-    )
+    checks.extend(_bounded(
+        num,
+        g_drift=max(mon.g_drift_max, mon_l.g_drift_max),
+        lambda_law=mon.lambda_gap_max,
+        cross_method=cross,
+        external=ext,
+        budget=max(mon.budget_residual, mon_l.budget_residual),
+    ))
     cm_floor = -num.tol("min_consumption") * cm_scale
     checks.append(Check("min_consumption", mon.cm_margin_min, cm_floor, mon.cm_margin_min >= cm_floor))
 
-    if run_oracle and num.oracle:
+    if run_oracle:
         report.oracle = _oracle_section(scn, checks, seed)
     else:
         report.oracle = {"skipped": "disabled by flag or scenario"}
 
-    if not all(c.passed for c in checks):
-        report.status = "fail"
-        report.code = "check:" + next(c.name for c in checks if not c.passed)
     report.trajectory, report.monitor = traj, mon
-    return report
 
 
 def _oracle_section(scn: Scenario, checks: list, seed: int) -> dict:
@@ -524,9 +511,7 @@ def _oracle_section(scn: Scenario, checks: list, seed: int) -> dict:
     m = num.oracle_m
     n_sim = int(round(m * scn.params.tau / T))
     prob = oracle.DiscreteProblem(scn.params, scn.initial, T, m)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        traj = simulate.simulate_integral_form(scn.params, scn.initial, T, n=n_sim)
+    traj = simulate.simulate_integral_form(scn.params, scn.initial, T, n=n_sim)
     J_cl = oracle.evaluate_objective(prob, traj.c)
     v0 = value_function(
         StateSample(scn.initial.k0, scn.initial.history.resample(max(n_sim, 1000))), scn.params
@@ -564,13 +549,7 @@ def _oracle_section(scn: Scenario, checks: list, seed: int) -> dict:
 
 
 def _json_default(obj):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.generic, np.ndarray)):
         return obj.tolist()
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
@@ -607,21 +586,12 @@ def write_outputs(report: RunReport, out_dir: Path, check_only: bool, plot_data:
     if traj is not None and plot_data:
         simulate.write_csv(out_dir / "plot_path.csv", "t,k,c,h", (traj.t, traj.k, traj.c, traj.h))
         simulate.write_csv(out_dir / "plot_gdrift.csv", "t,g_drift", (traj.t, report.monitor.g_drift))
-        simulate.write_csv(
-            out_dir / "plot_residuals.csv",
-            "t,lambda_check,external_residual",
-            (traj.t, traj.lambda_check, traj.external_residual),
-        )
+        residuals = (traj.t, traj.lambda_check, traj.external_residual)
+        simulate.write_csv(out_dir / "plot_residuals.csv", "t,lambda_check,external_residual", residuals)
 
     with open(out_dir / "report.json", "w") as fh:
-        json.dump(
-            _json_sanitize(report.to_dict()),
-            fh,
-            indent=2,
-            sort_keys=True,
-            allow_nan=False,
-            default=_json_default,
-        )
+        doc = _json_sanitize(report.to_dict())
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False, default=_json_default)
         fh.write("\n")
 
     blocks = [f"status: {report.status}" + (f" ({report.code})" if report.code else "")]
@@ -641,44 +611,51 @@ def write_outputs(report: RunReport, out_dir: Path, check_only: bool, plot_data:
 # -- entry points -------------------------------------------------------------
 
 
+def _result(text: str, code: int) -> int:
+    """Print the final stdout line, ``RESULT <text>`` on one line; return the exit code."""
+    print("RESULT " + " ".join(text.splitlines()))
+    return code
+
+
+def _not_loaded(exc: AkHabitError) -> int:
+    """A scenario that did not load: a defect of the file, or parameters outside their domain."""
+    if isinstance(exc, ScenarioError):
+        return _result(f"error {exc.code}: {exc}", 3)
+    return _result(f"reject {exc.code}: {exc}", 2)
+
+
+def _internal(exc: Exception) -> str:
+    """The code of an exception that has none of its own, a defect; its traceback goes to stderr."""
+    traceback.print_exception(exc)
+    return f"internal:{type(exc).__name__}"
+
+
 def run(
-    scenario_path,
-    out_dir,
-    check_only: bool = False,
-    plot_data: bool = False,
-    seed: int | None = None,
+    scenario_path, out_dir, check_only: bool = False, plot_data: bool = False, seed: int | None = None,
     no_oracle: bool = False,
 ) -> int:
     """Run the pipeline for one scenario file; returns the process exit code."""
+    scn = None
     try:
         if seed is not None and seed < 0:
             raise ScenarioError(f"--seed must be >= 0, got {seed}", code="parse:seed")
         scn = load_scenario(scenario_path)
-    except ScenarioError as exc:
-        print(f"RESULT error {exc.code}: {exc}")
-        return 3
-    except AkHabitError as exc:
-        # parameter-level rejection surfaced while building the scenario
-        print(f"RESULT reject {exc.code}: {exc}")
-        return 2
-    try:
         report = run_pipeline(scn, run_oracle=not no_oracle, seed=seed)
-    except AkHabitError as exc:
-        print(f"RESULT error {exc.code}: {exc}")
-        return 1
-    try:
         write_outputs(report, Path(out_dir), check_only, plot_data)
-    except OSError as exc:
-        print(f"RESULT error io:write: {exc}")
-        return 3
+    except AkHabitError as exc:
+        if scn is None:
+            return _not_loaded(exc)
+        return _result(f"error {exc.code}: {exc}", 1)
+    except OSError as exc:  # the scenario is read by load_scenario, so only the writer's
+        return _result(f"error io:write: {exc}", 3)
+    except Exception as exc:
+        return _result(f"error {_internal(exc)}", 1)
     for check in report.checks:
         state = "pass" if check.passed else "FAIL"
         print(f"CHECK {check.name} {state} value={check.value:.6g} tol={check.tolerance:.6g}")
     if report.status == "ok":
-        print("RESULT ok")
-        return 0
-    print(f"RESULT {report.status} {report.code}")
-    return 2 if report.status == "reject" else 1
+        return _result("ok", 0)
+    return _result(f"{report.status} {report.code}", 2 if report.status == "reject" else 1)
 
 
 def _sweep_row(scn: Scenario, name: str, value: float, shared: dict):
@@ -690,16 +667,11 @@ def _sweep_row(scn: Scenario, name: str, value: float, shared: dict):
     """
     params, initial = scn.params, scn.initial
     if name == "k0":
-        initial = InitialState(k0=value, history=initial.history)
+        initial = replace(initial, k0=value)
     else:
-        fields = {k: getattr(params, k) for k in ("eps", "eta", "tau", "A", "delta", "rho", "gamma")}
-        fields[name] = value
-        params = ModelParams(**fields)
+        params = replace(params, **{name: value})
         if name == "tau":
-            initial = InitialState(
-                k0=initial.k0,
-                history=HistoryGrid(value, initial.history.values),
-            )
+            initial = replace(initial, history=HistoryGrid(value, initial.history.values))
     # a sweep never runs the oracle, so the row is not held to its grid
     row_scn = Scenario(params=params, initial=initial, numerics=replace(scn.numerics, oracle=False))
     row_scn.check_consistency()
@@ -720,41 +692,48 @@ def _sweep_row(scn: Scenario, name: str, value: float, shared: dict):
 
 
 def sweep(scenario_path, param: str, values, out_dir) -> int:
-    """Run the pipeline once per parameter value; emit a summary CSV."""
+    """Run the pipeline once per parameter value; emit a summary CSV.
+
+    A row that raises is an ``error`` row with the exception's code as
+    its verdict, and the sweep goes on.
+    """
     try:
         if param not in SWEEP_PARAMS:
             raise ScenarioError(f"sweep parameter must be one of {SWEEP_PARAMS}, got {param!r}")
         if not values:
             raise ScenarioError("sweep needs a non-empty value list")
         scn = load_scenario(scenario_path)
-    except ScenarioError as exc:
-        print(f"RESULT error {exc.code}: {exc}")
-        return 3
+    except AkHabitError as exc:
+        return _not_loaded(exc)
+    except Exception as exc:
+        return _result(f"error {_internal(exc)}", 1)
 
     rows = []
     shared = {}
     for v in values:
         try:
             rows.append(_sweep_row(scn, param, v, shared))
-        except AkHabitError as exc:
-            rows.append((v, math.nan, math.nan, math.nan, math.nan, exc.code, "error"))
+        except Exception as exc:
+            code = exc.code if isinstance(exc, AkHabitError) else _internal(exc)
+            rows.append((v, math.nan, math.nan, math.nan, math.nan, code, "error"))
 
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "sweep.csv", "w", newline="") as fh:
-        fh.write(f"{param},lambda0,Lambda,Gamma,max_drift,verdict,status\n")
-        for value, lam0, Lam, Gam, drift, verdict, status in rows:
-            fh.write(
-                f"{value:.17g},{lam0:.17g},{Lam:.17g},{Gam:.17g},{drift:.17g},{verdict},{status}\n"
-            )
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        with open(out / "sweep.csv", "w", newline="") as fh:
+            fh.write(f"{param},lambda0,Lambda,Gamma,max_drift,verdict,status\n")
+            for value, lam0, Lam, Gam, drift, verdict, status in rows:
+                fh.write(
+                    f"{value:.17g},{lam0:.17g},{Lam:.17g},{Gam:.17g},{drift:.17g},{verdict},{status}\n"
+                )
+    except OSError as exc:
+        return _result(f"error io:write: {exc}", 3)
     bad = [row for row in rows if row[6] != "ok"]
     for row in rows:
         print(f"SWEEP {param}={row[0]:g} verdict={row[5]} status={row[6]}")
     if bad:
-        print(f"RESULT fail sweep:{len(bad)}-of-{len(rows)}-rows")
-        return 1
-    print("RESULT ok")
-    return 0
+        return _result(f"fail sweep:{len(bad)}-of-{len(rows)}-rows", 1)
+    return _result("ok", 0)
 
 
 def main(argv=None) -> None:
@@ -780,20 +759,12 @@ def main(argv=None) -> None:
 
     args = parser.parse_args(argv)
     if args.command == "run":
-        code = run(
-            args.scenario,
-            args.out,
-            check_only=args.check_only,
-            plot_data=args.plot_data,
-            seed=args.seed,
-            no_oracle=args.no_oracle,
-        )
+        code = run(args.scenario, args.out, args.check_only, args.plot_data, args.seed, args.no_oracle)
     else:
         try:
             values = [float(v) for v in args.values.split(",") if v.strip()]
         except ValueError as exc:
-            print(f"RESULT error parse:values: {exc}")
-            sys.exit(3)
+            sys.exit(_result(f"error parse:values: {exc}", 3))
         code = sweep(args.scenario, args.param, values, args.out)
     sys.exit(code)
 

@@ -21,6 +21,7 @@ special-cased so the utility scale nu has a single formula.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -31,6 +32,9 @@ from .quadrature import exp_integral
 
 #: grid points per memory length tau, unless a caller asks otherwise
 DEFAULT_GRID = 200
+
+#: the largest argument whose exp is a finite double
+LOG_MAX = math.log(sys.float_info.max)
 
 _POSITIVE_FIELDS = ("eps", "eta", "tau", "delta", "rho", "gamma")
 
@@ -97,7 +101,8 @@ def validate(params: ModelParams) -> DerivedConstants:
     """Check the standing regime and return the derived constants.
 
     Total on finite inputs: either returns constants or raises an error
-    naming the violated inequality.
+    naming the violated inequality, or ``regime:overflow`` when the value
+    scale nu is 0 or beyond the range of a double.
     """
     r = params.r
     if r <= 0.0 or params.eps > params.eta:
@@ -114,7 +119,16 @@ def validate(params: ModelParams) -> DerivedConstants:
         )
     alpha = (params.rho - r * (1.0 - params.gamma)) / params.gamma
     Gamma = (r - params.rho) / params.gamma
-    nu = alpha ** (-params.gamma) / (1.0 - params.gamma)
+    try:
+        nu = alpha ** (-params.gamma) / (1.0 - params.gamma)
+    except (OverflowError, ZeroDivisionError):
+        nu = math.inf
+    if not 0.0 < abs(nu) < math.inf:
+        raise RegimeError(
+            f"value scale nu = alpha^(-gamma)/(1-gamma) = {nu:.6g} is not a finite nonzero double "
+            f"(alpha={alpha:.6g}, gamma={params.gamma:.6g})",
+            code="regime:overflow",
+        )
     b = r + params.eta
     kappa0 = 1.0 - params.eps * (1.0 - math.exp(-b * params.tau)) / b
     return DerivedConstants(alpha=alpha, Gamma=Gamma, nu=nu, kappa0=kappa0)

@@ -46,7 +46,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import BracketError, ContourError, InconsistencyError
-from .model import HistoryGrid, ModelParams
+from .model import LOG_MAX, HistoryGrid, ModelParams
 from .quadrature import trap_dot
 
 #: switch to the power series of (1 - exp(-x*tau))/x when |x*tau| is below this
@@ -84,6 +84,10 @@ def phi(lam: float, params: ModelParams) -> float:
         # (1 - exp(-y))/y = 1 - y/2 + y^2/6 - y^3/24 + y^4/120 - y^5/720 + O(y^6)
         s = 1.0 + y * (-1.0 / 2 + y * (1.0 / 6 + y * (-1.0 / 24 + y * (1.0 / 120 - y / 720))))
         return 1.0 - params.eps * params.tau * s
+    if -y > LOG_MAX:
+        # exp(-y) overflows: eps (1 - exp(-y))/x = -expm1(y) exp(log_term) for x < 0
+        log_term = math.log(params.eps) - math.log(-x) - y
+        return -math.inf if log_term > LOG_MAX else 1.0 + math.expm1(y) * math.exp(log_term)
     return 1.0 - params.eps * (1.0 - math.exp(-y)) / x
 
 
