@@ -326,8 +326,11 @@ class RunReport:
 
 def _bounded(num: Numerics, **values: float) -> list[Check]:
     """Checks that pass when each value is at most its named tolerance."""
-    tols = {name: num.tol(name) for name in values}
-    return [Check(name, value, tols[name], value <= tols[name]) for name, value in values.items()]
+    checks = []
+    for name, value in values.items():
+        tol = num.tol(name)
+        checks.append(Check(name, value, tol, value <= tol))
+    return checks
 
 
 def _spectral_section(scn: Scenario) -> dict:
@@ -389,10 +392,10 @@ def run_pipeline(
     the paths.
     """
     report = RunReport(status="ok", code="")
+    seed = scn.numerics.seed if seed is None else seed
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            seed = scn.numerics.seed if seed is None else seed
             _stages(report, scn, run_oracle and scn.numerics.oracle, seed, kernel)
     except _Rejected as exc:
         report.status = "reject"
@@ -630,10 +633,8 @@ def _internal(exc: Exception) -> str:
     return f"internal:{type(exc).__name__}"
 
 
-def run(
-    scenario_path, out_dir, check_only: bool = False, plot_data: bool = False, seed: int | None = None,
-    no_oracle: bool = False,
-) -> int:
+def run(scenario_path, out_dir, check_only: bool = False, plot_data: bool = False,
+        seed: int | None = None, no_oracle: bool = False) -> int:
     """Run the pipeline for one scenario file; returns the process exit code."""
     scn = None
     try:

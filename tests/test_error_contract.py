@@ -79,17 +79,28 @@ def test_hole_ends_in_its_result_line(tmp_path, blocks, run_result, sweep_result
     ):
         assert code == want_code
         assert last.startswith(want_prefix)
-    assert not (tmp_path / "out").exists() or run_result[0] == 2
+    if run_result[0] == 3:
+        assert not (tmp_path / "out").exists()
+
+
+def _doc(**blocks):
+    doc = json.loads(json.dumps(BASE))  # deep copy
+    doc.update(blocks)
+    return yaml.safe_dump(doc, sort_keys=False)
 
 
 @pytest.mark.parametrize(
     "text",
-    ["numerics: 5\n", "params: {1: 2, x: 3}\n", "params: [not, a, mapping\n"],
+    [
+        _doc(numerics=5),
+        _doc(params={**BASE["params"], 1: 2.0, "x": 3.0}),  # unknown keys of two types
+        "params: [not, a, mapping\n",  # the parser's message spans lines
+    ],
     ids=["numerics-not-a-mapping", "mixed-type-keys", "unparseable"],
 )
 def test_malformed_file_is_exit_3_on_one_line(tmp_path, text):
     path = tmp_path / "scn.yaml"
-    path.write_text(yaml.safe_dump(BASE) + text if not text.startswith("params: [") else text)
+    path.write_text(text)
     for code, last, _ in run_and_sweep(tmp_path, path):
         assert code == 3
         assert last.startswith("RESULT error parse:scenario")
@@ -130,17 +141,18 @@ def test_tiny_habit_intensity_solves_in_log_space(tmp_path):
 
 
 def test_phi_beyond_the_exp_range_matches_decimal_arithmetic():
-    from decimal import Decimal, getcontext
+    from decimal import Decimal, localcontext
 
     from akhabit import ModelParams
 
-    getcontext().prec = 40
     params = ModelParams(eps=1e-300, eta=1.0, tau=1.0, A=0.3, delta=0.05, rho=0.04, gamma=2.0)
     for lam in (-711.0, -720.5, -750.0):
-        x = Decimal(lam) + Decimal(params.eta)
-        y = x * Decimal(params.tau)
-        want = 1 - Decimal(params.eps) * (1 - (-y).exp()) / x
-        assert abs(phi(lam, params) - float(want)) <= 1e-13 * abs(float(want))
+        with localcontext() as ctx:
+            ctx.prec = 40
+            x = Decimal(lam) + Decimal(params.eta)
+            y = x * Decimal(params.tau)
+            want = float(1 - Decimal(params.eps) * (1 - (-y).exp()) / x)
+        assert abs(phi(lam, params) - want) <= 1e-13 * abs(want)
     assert phi(-1e6, params) == -math.inf
     lam0 = real_root(params)
     assert abs(phi(lam0, params)) < 1e-12
