@@ -106,6 +106,16 @@ def test_malformed_file_is_exit_3_on_one_line(tmp_path, text):
         assert last.startswith("RESULT error parse:scenario")
 
 
+def test_unwritable_output_is_exit_3(tmp_path):
+    # the output directory is a file: from sweep as from run
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    path = scenario(tmp_path)
+    for call, args in ((run, (path, blocker)), (sweep, (path, "k0", [10.0], blocker))):
+        code, last, _ = outcome(call, *args)
+        assert (code, last.split(":")[0]) == (3, "RESULT error io")
+
+
 @pytest.mark.parametrize("key,default", [("horizon", 8.0), ("oracle_horizon", 10.0)])
 def test_null_horizon_is_the_default(tmp_path, key, default):
     oracle = {"oracle": True, "oracle_m": 200, "trials": 2, "ascent_iters": 5}
