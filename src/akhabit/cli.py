@@ -37,7 +37,8 @@ import numpy as np
 import yaml
 
 from . import dde, oracle, simulate
-from .errors import AkHabitError, ConstraintError, DomainError, OptimalityViolation, ScenarioError
+from .errors import AkHabitError, ConstraintError, DomainError, InfeasibleControlError, InfeasibleError
+from .errors import OptimalityViolation, ScenarioError
 from .hjb import StateSample, state_values, value_function
 from .model import DEFAULT_GRID, LOG_MAX, HistoryGrid, InitialState, ModelParams, validate
 from .spectral import spectral_report
@@ -56,6 +57,13 @@ DEFAULT_TOLERANCES = {
 }
 
 SWEEP_PARAMS = ("eps", "eta", "tau", "gamma", "rho", "k0")
+
+#: most oracle nodes, perturbation trials and ascent iterations a scenario may ask for
+MAX_COUNT = 100_000
+
+#: most grid nodes n * horizon / tau a run (or a sweep row) may integrate; a
+#: path node costs about 210 bytes, so this is about 1 GB
+MAX_NODES = 5_000_000
 
 
 # -- scenario files -----------------------------------------------------------
@@ -110,7 +118,7 @@ def _mapping(name: str, block, keys, complete: bool = False) -> dict:
 def _tolerances(value) -> dict:
     """Named tolerances, each a number >= 0."""
     table = _mapping("numerics.tolerances", value, DEFAULT_TOLERANCES)
-    return {k: _checked(f"numerics.tolerances.{k}", v, _real, _at_least(0)) for k, v in table.items()}
+    return {k: _checked(f"numerics.tolerances.{k}", v, _real, _within(0)) for k, v in table.items()}
 
 
 def _setting(default, read, domain=None):
@@ -118,23 +126,23 @@ def _setting(default, read, domain=None):
     return field(default=default, metadata={"read": read, "domain": domain})
 
 
-def _at_least(lo):
-    return f">= {lo}", lambda v: v >= lo
+def _within(lo, hi=math.inf):
+    return (f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"), lambda v: lo <= v <= hi
 
 
 @dataclass(frozen=True)
 class Numerics:
     """Grid and oracle settings.  A null horizon is the default 8 tau (10 tau for the oracle)."""
 
-    n: int = _setting(DEFAULT_GRID, _whole, _at_least(2))
+    n: int = _setting(DEFAULT_GRID, _whole, _within(2, MAX_NODES))
     horizon: float | None = _setting(None, _real, ("finite", math.isfinite))
     margin: float = _setting(0.1, _real, ("finite and > 0", lambda v: math.isfinite(v) and v > 0.0))
     oracle: bool = _setting(True, _flag)
     oracle_horizon: float | None = _setting(None, _real, ("finite", math.isfinite))
-    oracle_m: int = _setting(2000, _whole, _at_least(2))
-    trials: int = _setting(100, _whole, _at_least(0))
-    ascent_iters: int = _setting(400, _whole, _at_least(1))
-    seed: int = _setting(42, _whole, _at_least(0))
+    oracle_m: int = _setting(2000, _whole, _within(2, MAX_COUNT))
+    trials: int = _setting(100, _whole, _within(0, MAX_COUNT))
+    ascent_iters: int = _setting(400, _whole, _within(1, MAX_COUNT))
+    seed: int = _setting(42, _whole, _within(0))
     tolerances: dict = field(default_factory=dict, metadata={"read": _tolerances, "domain": None})
 
     def tol(self, name: str) -> float:
@@ -150,7 +158,7 @@ class Scenario:
     @property
     def horizon(self) -> float:
         T = self.numerics.horizon
-        return 8.0 * self.params.tau if T is None else T
+        return dde.DEFAULT_HORIZON * self.params.tau if T is None else T
 
     @property
     def oracle_horizon(self) -> float:
@@ -165,7 +173,8 @@ class Scenario:
         Every grid the run integrates the minimal plan on must keep its
         implicit weight eps*dt/2 below 1, or ``dde.minimal_consumption``
         has no step to take.  Over every horizon T the run simulates,
-        e^(r T) must be a finite double (``parse:overflow`` otherwise).
+        e^(r T) must be a finite double (``parse:overflow`` otherwise).  The
+        run grid may hold at most MAX_NODES nodes, n * horizon / tau.
         """
         p, num = self.params, self.numerics
         if not self.horizon >= p.tau:
@@ -191,6 +200,9 @@ class Scenario:
             # capital returns grow by e^(r T) over a horizon, the paths by at most that
             if p.r * T > LOG_MAX:
                 raise ScenarioError(f"e^(r T) overflows a double: r = {p.r:g}, T = {T:g}", code="parse:overflow")
+        nodes = num.n * self.horizon / p.tau
+        if nodes > MAX_NODES:
+            raise ScenarioError(f"n * horizon / tau = {nodes:.3g} grid nodes, more than {MAX_NODES}")
 
 
 _ALLOWED_CALLS = {"exp": np.exp, "sin": np.sin, "cos": np.cos, "sqrt": np.sqrt, "abs": np.abs}
@@ -426,7 +438,7 @@ def _stages(report: RunReport, scn: Scenario, run_oracle: bool, seed: int, kerne
     report.feasibility = _feasibility_section(feas, scn.initial.k0)
     report.feasibility_data = feas
     if not feas.feasible:
-        raise _Rejected("infeasible:capital", {})
+        raise _Rejected(InfeasibleError.code, {})
 
     # the integral form computes Lambda on the run grid, so it runs first
     # and Lambda is not computed twice; a failure of either integrator is
@@ -531,13 +543,18 @@ def _oracle_section(scn: Scenario, checks: list, seed: int) -> dict:
         section["max_perturbation_gain"] = rep.max_gain
         section["perturbation_trials"] = rep.trials
         checks.append(Check("perturbation", rep.max_gain, rep.tolerance, True))
-    except OptimalityViolation as exc:
+    except (OptimalityViolation, InfeasibleControlError) as exc:
         section["perturbation_error"] = str(exc)
         checks.append(Check("perturbation", math.inf, num.tol("perturbation"), False))
 
     cm = dde.minimal_consumption(scn.params, scn.initial.history.resample(n_sim), T)
     start = cm.values + 0.5 * max(traj.Lambda, 0.1)
-    res = oracle.projected_ascent(prob, start, iters=num.ascent_iters)
+    try:
+        res = oracle.projected_ascent(prob, start, iters=num.ascent_iters)
+    except InfeasibleControlError as exc:
+        section["ascent_error"] = str(exc)
+        checks.append(Check("ascent", math.inf, num.tol("ascent"), False))
+        return section
     gap = abs(res.J - J_cl) / abs(J_cl)
     section["ascent_J"] = res.J
     section["ascent_iterations"] = res.iterations

@@ -88,6 +88,12 @@ class OptimalityViolation(AkHabitError):
     code = "oracle:perturbation"
 
 
+class InfeasibleControlError(AkHabitError, ValueError):
+    """An oracle routine was handed a control that breaks the discrete constraints."""
+
+    code = "oracle:infeasible"
+
+
 class NonConvergence(AkHabitError):
     """Ascent stalled before reaching the requested objective band."""
 

@@ -24,6 +24,11 @@ drift pairing h + r*G, the maximized control term, and the habit pairing.
 For states assembled from genuine consumption windows the inner component
 vanishes at -tau by construction, which is the domain condition the drift
 identity needs.
+
+``state_values`` is the one evaluation of G, v, the feedback consumption
+and the residual; ``value_function``, ``feedback`` and ``hjb_residual``
+each return one of its entries, and ``current_value_hamiltonian`` reuses
+its drift pairing and B*Dv.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, MismatchError
-from .model import DerivedConstants, HistoryGrid, ModelParams, validate
+from .model import HistoryGrid, ModelParams, validate
 from .quadrature import exp_integral, exp_weights
 
 #: relative disagreement between the two G quadrature forms that flags a
@@ -141,76 +146,48 @@ def G_value(state: StateSample, params: ModelParams, mismatch_tol: float = G_MIS
     return reduced
 
 
-def value_function(state: StateSample, params: ModelParams) -> float:
-    """v = nu * G^(1-gamma); defined only inside the region G > 0."""
+def state_values(state: StateSample, params: ModelParams) -> dict[str, float]:
+    """G, v, the feedback consumption and the HJB residual of one state, from one G evaluation.
+
+    The residual is rho*v - H(x, Dv).  Its drift pairing uses the closed
+    identity h + r*G (integration by parts with the window vanishing at
+    its left end) instead of differentiating quadrature output.  Zero up
+    to rounding for any state with G > 0; this checks the algebra tying
+    nu and alpha together, not the quadrature.
+    """
+    return _assemble(state, params)[0]
+
+
+def _assemble(state: StateSample, params: ModelParams) -> tuple[dict[str, float], float, float, float]:
+    """``state_values``' entries, and the (h, drift pairing, B*Dv) the Hamiltonian reuses."""
     der = validate(params)
-    G = G_value(state, params)
-    if G <= 0.0:
-        raise DomainError(f"state outside the value region: G = {G:.6g} <= 0", code="domain:G")
-    return der.nu * G ** (1.0 - params.gamma)
-
-
-def feedback(state: StateSample, params: ModelParams) -> float:
-    """Optimal consumption c = h + alpha*G; strictly above the habit when G > 0."""
-    der = validate(params)
-    G = G_value(state, params)
-    if G <= 0.0:
-        raise DomainError(f"state outside the feedback region: G = {G:.6g} <= 0", code="domain:G")
-    return state.window_functionals(params)[0] + der.alpha * G
-
-
-def _hamiltonian_pieces(
-    state: StateSample, params: ModelParams, der: DerivedConstants
-) -> tuple[float, float, float, float]:
-    """(G, h, v, B*Dv) shared by the residual and the Hamiltonian."""
+    gamma = params.gamma
     G = G_value(state, params)
     if G <= 0.0:
         raise DomainError(f"state outside the value region: G = {G:.6g} <= 0", code="domain:G")
     h = state.window_functionals(params)[0]
-    v = der.nu * G ** (1.0 - params.gamma)
-    bstar_dv = -(1.0 - params.gamma) * der.nu * G ** (-params.gamma)
-    return G, h, v, bstar_dv
+    v = der.nu * G ** (1.0 - gamma)
+    bstar_dv = -(1.0 - gamma) * der.nu * G ** (-gamma)
+    drift_pairing = -bstar_dv * (h + params.r * G)
+    control_term = (gamma / (1.0 - gamma)) * (-bstar_dv) ** ((gamma - 1.0) / gamma)
+    hamiltonian = drift_pairing + control_term + h * bstar_dv
+    values = {"G": G, "v": v, "c_feedback": h + der.alpha * G, "hjb_residual": params.rho * v - hamiltonian}
+    return values, h, drift_pairing, bstar_dv
+
+
+def value_function(state: StateSample, params: ModelParams) -> float:
+    """v = nu * G^(1-gamma); defined only inside the region G > 0."""
+    return state_values(state, params)["v"]
+
+
+def feedback(state: StateSample, params: ModelParams) -> float:
+    """Optimal consumption c = h + alpha*G; strictly above the habit when G > 0."""
+    return state_values(state, params)["c_feedback"]
 
 
 def hjb_residual(state: StateSample, params: ModelParams) -> float:
-    """rho*v - H(x, Dv) assembled from the three reduced scalar pieces.
-
-    The drift pairing uses the closed identity h + r*G (integration by
-    parts with the window vanishing at its left end) instead of
-    differentiating quadrature output.  Zero up to rounding for any state
-    with G > 0; this checks the algebra tying nu and alpha together, not
-    the quadrature.
-    """
-    der = validate(params)
-    return _residual(params, der, *_hamiltonian_pieces(state, params, der))
-
-
-def _residual(
-    params: ModelParams, der: DerivedConstants, G: float, h: float, v: float, bstar_dv: float
-) -> float:
-    gamma = params.gamma
-    drift_pairing = (1.0 - gamma) * der.nu * G ** (-gamma) * (h + params.r * G)
-    control_term = (gamma / (1.0 - gamma)) * (-bstar_dv) ** ((gamma - 1.0) / gamma)
-    habit_pairing = h * bstar_dv
-    hamiltonian = drift_pairing + control_term + habit_pairing
-    return params.rho * v - hamiltonian
-
-
-def state_values(state: StateSample, params: ModelParams) -> dict[str, float]:
-    """G, v, the feedback consumption and the HJB residual of one state.
-
-    The values of ``G_value``, ``value_function``, ``feedback`` and
-    ``hjb_residual``, bitwise, from one G evaluation instead of four; the
-    habit is the one G computed (``StateSample.window_functionals``).
-    """
-    der = validate(params)
-    G, h, v, bstar_dv = _hamiltonian_pieces(state, params, der)
-    return {
-        "G": G,
-        "v": v,
-        "c_feedback": h + der.alpha * G,
-        "hjb_residual": _residual(params, der, G, h, v, bstar_dv),
-    }
+    """rho*v - H(x, Dv), see ``state_values``."""
+    return state_values(state, params)["hjb_residual"]
 
 
 def current_value_hamiltonian(state: StateSample, params: ModelParams, c: float) -> float:
@@ -220,14 +197,12 @@ def current_value_hamiltonian(state: StateSample, params: ModelParams, c: float)
     addiction convention).  The feedback consumption is its unique
     maximizer over c >= h.
     """
-    der = validate(params)
     gamma = params.gamma
-    G, h, _, bstar_dv = _hamiltonian_pieces(state, params, der)
+    _, h, drift_pairing, bstar_dv = _assemble(state, params)
     excess = c - h
     if excess < 0.0 or (excess == 0.0 and gamma > 1.0):
         return -math.inf
     utility = excess ** (1.0 - gamma) / (1.0 - gamma)
-    drift_pairing = (1.0 - gamma) * der.nu * G ** (-gamma) * (h + params.r * G)
     return utility + drift_pairing + c * bstar_dv
 
 

@@ -19,8 +19,9 @@ is a spectral projected gradient ascent driven by the exact discrete
 adjoint gradient of J.  The excess and the terminal aggregate are affine
 in the controls, so that gradient is one correlation of the weighted
 marginal utilities against the habit kernel plus the salvage's terminal
-sensitivity; it is derived from J alone (and tested against finite
-differences of J), never from the closed-form policy.  Agreement
+sensitivity; it is derived from J alone, never from the closed-form
+policy.  Its reference, ``fd_gradient``, re-evaluates J once per node
+and shares nothing with it beyond ``evaluate_objective``.  Agreement
 of max J with the closed-form value is then evidence, not circularity.
 
 Each control goes through the forward pass once.  A ``DiscreteProblem``
@@ -42,7 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, NonConvergence, OptimalityViolation
+from .errors import DomainError, InfeasibleControlError, NonConvergence, OptimalityViolation
 from .hjb import habit_weight
 from .model import InitialState, ModelParams, validate
 
@@ -299,15 +300,6 @@ def _default_fdh(controls: np.ndarray) -> float:
     return 1e-6 * max(1.0, float(np.mean(np.abs(controls))))
 
 
-def _feasible_parts(problem: DiscreteProblem, controls: np.ndarray, who: str):
-    """Clipped excess and terminal aggregate G_T of a feasible control."""
-    base = objective_breakdown(problem, controls)
-    if not math.isfinite(base.J):
-        raise ValueError(f"{who} needs a feasible base control")
-    G_T = problem.terminal_aggregate(controls, float(base.capital[-1]), float(base.habit[-1]))
-    return np.maximum(base.excess, 0.0), G_T
-
-
 def gradient(problem: DiscreteProblem, controls: np.ndarray) -> np.ndarray:
     """Exact gradient of J, the discrete adjoint of the forward pass.
 
@@ -320,7 +312,11 @@ def gradient(problem: DiscreteProblem, controls: np.ndarray) -> np.ndarray:
     """
     controls = np.asarray(controls, dtype=float)
     gamma = problem.params.gamma
-    exc, G_T = _feasible_parts(problem, controls, "gradient")
+    base = objective_breakdown(problem, controls)
+    if not math.isfinite(base.J):
+        raise InfeasibleControlError("gradient needs a feasible base control")
+    G_T = problem.terminal_aggregate(controls, float(base.capital[-1]), float(base.habit[-1]))
+    exc = np.maximum(base.excess, 0.0)
     with np.errstate(divide="ignore"):
         du = exc**-gamma
     zero = exc == 0.0
@@ -336,55 +332,27 @@ def gradient(problem: DiscreteProblem, controls: np.ndarray) -> np.ndarray:
     return g + d_salvage * problem.terminal_sensitivity
 
 
-def fd_gradient(problem: DiscreteProblem, controls: np.ndarray, fdh: float | None = None) -> np.ndarray:
-    """Two-point forward difference (J(c + fdh e_i) - J(c)) / fdh for every i.
-
-    Computed incrementally: bumping c_i changes the excess on the habit
-    window [t_i, t_i + tau], the terminal capital, and (for the last
-    window) the terminal aggregate, so each difference is an O(tau/dt)
-    re-sum rather than a full re-evaluation.  Matches the naive version
-    to rounding.  Reference for ``gradient``.
-    """
-    controls = np.asarray(controls, dtype=float)
-    m, L = problem.m, problem.n_tau + 1
-    gamma = problem.params.gamma
-    if fdh is None:
-        fdh = _default_fdh(controls)
-    exc, G_T = _feasible_parts(problem, controls, "fd_gradient")
-
-    # window matrices, padded past T with weight zero (pad value is benign)
-    pad_exc = np.concatenate([exc, np.ones(L - 1)])
-    pad_wts = np.concatenate([problem.quad_w, np.zeros(L - 1)])
-    E = np.lib.stride_tricks.sliding_window_view(pad_exc, L)
-    Wm = np.lib.stride_tricks.sliding_window_view(pad_wts, L)
-
-    # excess perturbation pattern: delta_exc[i+l] = fdh * P[i, l]
-    p_generic, p0 = problem.excess_patterns
-    P = np.broadcast_to(p_generic, (m + 1, L)).copy()
-    P[0] = p0
-
-    dU = (_u(E + fdh * P, gamma) - _u(E, gamma)) * Wm
-    d_running = dU.sum(axis=1)
-
-    dG = problem.terminal_sensitivity
-    d_salv = problem.disc_rho[-1] * problem.derived.nu * (
-        (G_T + fdh * dG) ** (1.0 - gamma) - G_T ** (1.0 - gamma)
-    )
-    return (d_running + d_salv) / fdh
-
-
 def fd_gradient_naive(problem: DiscreteProblem, controls: np.ndarray, fdh: float | None = None) -> np.ndarray:
-    """Literal one-coordinate-at-a-time forward differences (test reference)."""
+    """Two-point forward differences (J(c + fdh e_i) - J(c)) / fdh, one coordinate at a time.
+
+    The reference for ``gradient``: it re-evaluates J once per node, so
+    it shares nothing with the adjoint beyond ``evaluate_objective``.
+    """
     controls = np.asarray(controls, dtype=float)
     if fdh is None:
         fdh = _default_fdh(controls)
     J0 = evaluate_objective(problem, controls)
+    if not math.isfinite(J0):
+        raise InfeasibleControlError("fd_gradient needs a feasible base control")
     out = np.empty(problem.m + 1)
     for i in range(problem.m + 1):
         bumped = controls.copy()
         bumped[i] += fdh
         out[i] = (evaluate_objective(problem, bumped) - J0) / fdh
     return out
+
+
+fd_gradient = fd_gradient_naive
 
 
 # -- feasibility restoration -------------------------------------------------
@@ -473,7 +441,7 @@ def perturbation_test(
     base_controls = np.asarray(base_controls, dtype=float)
     base = objective_breakdown(problem, base_controls)
     if not math.isfinite(base.J):
-        raise ValueError("perturbation_test needs a feasible base control")
+        raise InfeasibleControlError("perturbation_test needs a feasible base control")
     margin = float(np.min(np.maximum(base.excess, 0.0)))
     scale = margin if margin > 0 else 0.1 * float(np.mean(base_controls) + 1.0)
     t = problem.t
@@ -557,7 +525,7 @@ def projected_ascent(
     projections, backtracks = 1, 0
     J = evaluate_objective(problem, c)
     if not math.isfinite(J):
-        raise ValueError("projected_ascent needs a feasible start")
+        raise InfeasibleControlError("projected_ascent needs a feasible start")
     precond = problem.quad_w
     g = gradient(problem, c)
     step = 1.0 / max(float(np.max(np.abs(g / precond))), 1e-12)

@@ -81,9 +81,7 @@ def phi(lam: float, params: ModelParams) -> float:
     x = lam + params.eta
     y = x * params.tau
     if abs(y) < SERIES_SWITCH:
-        # (1 - exp(-y))/y = 1 - y/2 + y^2/6 - y^3/24 + y^4/120 - y^5/720 + O(y^6)
-        s = 1.0 + y * (-1.0 / 2 + y * (1.0 / 6 + y * (-1.0 / 24 + y * (1.0 / 120 - y / 720))))
-        return 1.0 - params.eps * params.tau * s
+        return 1.0 - params.eps * params.tau * _em1_series(y)
     if -y > LOG_MAX:
         # exp(-y) overflows: eps (1 - exp(-y))/x = -expm1(y) exp(log_term) for x < 0
         log_term = math.log(params.eps) - math.log(-x) - y
@@ -161,12 +159,16 @@ def regime(params: ModelParams, lambda0: float | None = None) -> RootRegime:
     return tag
 
 
+def _em1_series(y):
+    """(1 - exp(-y))/y = 1 - y/2 + y^2/6 - y^3/24 + y^4/120 - y^5/720 + O(y^6), float or array."""
+    return 1.0 + y * (-1.0 / 2 + y * (1.0 / 6 + y * (-1.0 / 24 + y * (1.0 / 120 - y / 720))))
+
+
 def _em1_over(y):
     """(1 - exp(-y))/y with the series branch near 0, elementwise."""
     y = np.asarray(y, dtype=float)
     small = np.abs(y) < SERIES_SWITCH
-    ys = np.where(small, y, 1.0)
-    series = 1.0 + ys * (-1.0 / 2 + ys * (1.0 / 6 + ys * (-1.0 / 24 + ys * (1.0 / 120 - ys / 720))))
+    series = _em1_series(np.where(small, y, 1.0))
     yd = np.where(small, 1.0, y)
     direct = (1.0 - np.exp(-yd)) / yd
     return np.where(small, series, direct)
