@@ -39,7 +39,7 @@ import yaml
 from . import dde, oracle, simulate
 from .errors import AkHabitError, ConstraintError, DomainError, InfeasibleControlError, InfeasibleError
 from .errors import OptimalityViolation, ScenarioError
-from .hjb import StateSample, state_values, value_function
+from .hjb import StateSample, state_values
 from .model import DEFAULT_GRID, LOG_MAX, HistoryGrid, InitialState, ModelParams, validate
 from .spectral import spectral_report
 
@@ -238,10 +238,12 @@ def _eval_history_expr(expr: str, u: np.ndarray) -> np.ndarray:
 
     try:
         tree = ast.parse(expr, mode="eval")
+        with np.errstate(all="ignore"):  # a value that is not finite is refused by HistoryGrid
+            values = np.asarray(ev(tree), dtype=float)
     except SyntaxError as exc:
         raise ScenarioError(f"cannot parse history expr {expr!r}: {exc}") from exc
-    with np.errstate(all="ignore"):  # a value that is not finite is refused by HistoryGrid
-        values = np.asarray(ev(tree), dtype=float)
+    except (RecursionError, MemoryError) as exc:  # nesting beyond the parser's or ev's stack
+        raise ScenarioError(f"history expr is too deep or too large to evaluate: {type(exc).__name__}") from None
     return np.broadcast_to(values, u.shape).copy()
 
 
@@ -256,8 +258,7 @@ def _build_history(entry, tau: float, n: int) -> HistoryGrid:
     if kind == "samples":
         return HistoryGrid(tau, np.asarray(value, dtype=float)).resample(n)
     if kind == "expr":
-        u = -tau + np.arange(n + 1) * (tau / n)
-        return HistoryGrid(tau, _eval_history_expr(str(value), u))
+        return HistoryGrid.from_callable(lambda u: _eval_history_expr(str(value), u), tau, n)
     raise ScenarioError(f"unknown history kind {kind!r}")
 
 
@@ -388,12 +389,7 @@ class _Rejected(Exception):
     """A stage's rejection of the scenario; its arguments are the code and the closed_loop section."""
 
 
-def run_pipeline(
-    scn: Scenario,
-    run_oracle: bool = True,
-    seed: int | None = None,
-    kernel: KernelResults | None = None,
-) -> RunReport:
+def run_pipeline(scn: Scenario, run_oracle: bool = True, kernel: KernelResults | None = None) -> RunReport:
     """The full verification pipeline on an in-memory scenario.
 
     Returns a RunReport; never raises for model-level rejections (they
@@ -404,11 +400,10 @@ def run_pipeline(
     the paths.
     """
     report = RunReport(status="ok", code="")
-    seed = scn.numerics.seed if seed is None else seed
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            _stages(report, scn, run_oracle and scn.numerics.oracle, seed, kernel)
+            _stages(report, scn, run_oracle and scn.numerics.oracle, kernel)
     except _Rejected as exc:
         report.status = "reject"
         report.code, report.closed_loop = exc.args
@@ -419,7 +414,7 @@ def run_pipeline(
     return report
 
 
-def _stages(report: RunReport, scn: Scenario, run_oracle: bool, seed: int, kernel) -> None:
+def _stages(report: RunReport, scn: Scenario, run_oracle: bool, kernel) -> None:
     """Fill ``report`` stage by stage; a rejection raises _Rejected."""
     checks = report.checks
     num = scn.numerics
@@ -460,8 +455,8 @@ def _stages(report: RunReport, scn: Scenario, run_oracle: bool, seed: int, kerne
         except ConstraintError as exc:
             failure = exc
 
-    # a single state evaluation is cheap, so give the dual-quadrature
-    # cross-check inside G_value a fine window regardless of the run grid
+    # the run's one v(x0), which the oracle also reads; a single state is cheap,
+    # so G_value's dual-quadrature cross-check gets a fine window whatever the grid
     state0 = StateSample(scn.initial.k0, scn.initial.history.resample(max(num.n, 1000)))
     report.hjb = state_values(state0, scn.params)
 
@@ -513,32 +508,28 @@ def _stages(report: RunReport, scn: Scenario, run_oracle: bool, seed: int, kerne
     checks.append(Check("min_consumption", mon.cm_margin_min, cm_floor, mon.cm_margin_min >= cm_floor))
 
     if run_oracle:
-        report.oracle = _oracle_section(scn, checks, seed)
+        report.oracle = _oracle_section(scn, checks, report.hjb["v"])
     else:
         report.oracle = {"skipped": "disabled by flag or scenario"}
 
     report.trajectory, report.monitor = traj, mon
 
 
-def _oracle_section(scn: Scenario, checks: list, seed: int) -> dict:
+def _oracle_section(scn: Scenario, checks: list, v_predicted: float) -> dict:
     num = scn.numerics
     T = scn.oracle_horizon
     m = num.oracle_m
-    n_sim = int(round(m * scn.params.tau / T))
     prob = oracle.DiscreteProblem(scn.params, scn.initial, T, m)
-    traj = simulate.simulate_integral_form(scn.params, scn.initial, T, n=n_sim)
+    traj = simulate.simulate_integral_form(scn.params, prob.init, T)
     J_cl = oracle.evaluate_objective(prob, traj.c)
-    v0 = value_function(
-        StateSample(scn.initial.k0, scn.initial.history.resample(max(n_sim, 1000))), scn.params
-    )
-    match = abs(J_cl - v0) / abs(v0)
+    match = abs(J_cl - v_predicted) / abs(v_predicted)
     checks.extend(_bounded(num, value_match=match))
 
-    section = {"J_closed_loop": J_cl, "v_predicted": v0, "value_match": match,
-               "T": T, "m": m, "seed": seed}
+    section = {"J_closed_loop": J_cl, "v_predicted": v_predicted, "value_match": match,
+               "T": T, "m": m, "seed": num.seed}
     try:
         rep = oracle.perturbation_test(
-            prob, traj.c, trials=num.trials, seed=seed, tol=num.tol("perturbation")
+            prob, traj.c, trials=num.trials, seed=num.seed, tol=num.tol("perturbation")
         )
         section["max_perturbation_gain"] = rep.max_gain
         section["perturbation_trials"] = rep.trials
@@ -547,7 +538,7 @@ def _oracle_section(scn: Scenario, checks: list, seed: int) -> dict:
         section["perturbation_error"] = str(exc)
         checks.append(Check("perturbation", math.inf, num.tol("perturbation"), False))
 
-    cm = dde.minimal_consumption(scn.params, scn.initial.history.resample(n_sim), T)
+    cm = dde.minimal_consumption(scn.params, prob.init.history, T)
     start = cm.values + 0.5 * max(traj.Lambda, 0.1)
     try:
         res = oracle.projected_ascent(prob, start, iters=num.ascent_iters)
@@ -555,7 +546,7 @@ def _oracle_section(scn: Scenario, checks: list, seed: int) -> dict:
         section["ascent_error"] = str(exc)
         checks.append(Check("ascent", math.inf, num.tol("ascent"), False))
         return section
-    gap = abs(res.J - J_cl) / abs(J_cl)
+    gap = abs(res.J - J_cl) / abs(J_cl) if math.isfinite(J_cl) else math.inf
     section["ascent_J"] = res.J
     section["ascent_iterations"] = res.iterations
     section["ascent_projections"] = res.projections
@@ -568,20 +559,16 @@ def _oracle_section(scn: Scenario, checks: list, seed: int) -> dict:
 # -- output writers -----------------------------------------------------------
 
 
-def _json_default(obj):
+def _json_ready(obj):
+    """Strict-JSON form: numpy values become Python values, then non-finite floats strings."""
     if isinstance(obj, (np.generic, np.ndarray)):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
-def _json_sanitize(obj):
-    """Strict-JSON form: non-finite floats become strings."""
+        obj = obj.tolist()
     if isinstance(obj, dict):
-        return {k: _json_sanitize(v) for k, v in obj.items()}
+        return {k: _json_ready(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_json_sanitize(v) for v in obj]
-    if isinstance(obj, (float, np.floating)) and not math.isfinite(obj):
-        return str(float(obj))
+        return [_json_ready(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(obj)
     return obj
 
 
@@ -610,8 +597,7 @@ def write_outputs(report: RunReport, out_dir: Path, check_only: bool, plot_data:
         simulate.write_csv(out_dir / "plot_residuals.csv", "t,lambda_check,external_residual", residuals)
 
     with open(out_dir / "report.json", "w") as fh:
-        doc = _json_sanitize(report.to_dict())
-        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False, default=_json_default)
+        json.dump(_json_ready(report.to_dict()), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
     blocks = [f"status: {report.status}" + (f" ({report.code})" if report.code else "")]
@@ -658,7 +644,9 @@ def run(scenario_path, out_dir, check_only: bool = False, plot_data: bool = Fals
         if seed is not None and seed < 0:
             raise ScenarioError(f"--seed must be >= 0, got {seed}", code="parse:seed")
         scn = load_scenario(scenario_path)
-        report = run_pipeline(scn, run_oracle=not no_oracle, seed=seed)
+        if seed is not None:
+            scn = replace(scn, numerics=replace(scn.numerics, seed=seed))
+        report = run_pipeline(scn, run_oracle=not no_oracle)
         write_outputs(report, Path(out_dir), check_only, plot_data)
     except AkHabitError as exc:
         if scn is None:
@@ -694,7 +682,7 @@ def _sweep_row(scn: Scenario, name: str, value: float, shared: dict):
     row_scn = Scenario(params=params, initial=initial, numerics=replace(scn.numerics, oracle=False))
     row_scn.check_consistency()
     key = (params.eps, params.eta, params.tau)
-    report = run_pipeline(row_scn, run_oracle=False, kernel=shared.get(key))
+    report = run_pipeline(row_scn, kernel=shared.get(key))
     if key not in shared and report.feasibility_data is not None:
         shared[key] = KernelResults(report.spectral, report.feasibility_data.cm)
     lam0 = report.spectral.get("lambda0", math.nan)
@@ -754,11 +742,16 @@ def sweep(scenario_path, param: str, values, out_dir) -> int:
     return _result("ok", 0)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error ends like every other input: usage on stderr, a RESULT line, exit 3."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        sys.exit(_result(f"error parse:args: {message}", 3))
+
+
 def main(argv=None) -> None:
-    parser = argparse.ArgumentParser(
-        prog="akhabit",
-        description="Verify and simulate the habit-formation AK growth model",
-    )
+    parser = _Parser(prog="akhabit", description="Verify and simulate the habit-formation AK growth model")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run the full pipeline for one scenario")

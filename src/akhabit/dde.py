@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StepError
-from .model import HistoryGrid, InitialState, ModelParams
+from .model import HistoryGrid, InitialState, ModelParams, habit_of_history
 from .quadrature import (
     block_windows,
     cumulative_trapezoid,
@@ -115,7 +115,7 @@ def minimal_consumption(
     kernel = window_kernel(params.eta, dt, n)
     comp = np.zeros(steps + 1)
     hv = hist.values
-    comp[0] = params.eps * trap_dot(kernel.weights, hv, dt)
+    comp[0] = habit_of_history(hist, params)
     g = params.eps / (1.0 - self_weight)
     log_p = -params.eta * dt + math.log1p(g * dt)
     gain = math.exp(-params.eta * dt) * g * dt
@@ -173,22 +173,13 @@ def check_feasibility(
     r = params.r
 
     if lam0 >= r and init.history.is_positive_somewhere():
-        return FeasibilityReport(
-            cm=cm,
-            kM=kM,
-            discounted_cost=math.inf,
-            tail_bound=math.inf,
-            slack=-math.inf,
-            feasible=False,
-            lambda0=lam0,
-        )
-
-    cost_T = trap_dot(np.exp(-r * cm.t), cm.values, cm.dt)
-    window = cm.t >= cm.t[-1] - params.tau
-    t_end = cm.t[-1]
-    envelope = float(np.max(cm.values[window] * np.exp(lam0 * (t_end - cm.t[window]))))
-    tail = envelope * math.exp(-r * t_end) / (r - lam0)
-    cost = cost_T + tail
+        cost = tail = math.inf
+    else:
+        window = cm.t >= cm.t[-1] - params.tau
+        t_end = cm.t[-1]
+        envelope = float(np.max(cm.values[window] * np.exp(lam0 * (t_end - cm.t[window]))))
+        tail = envelope * math.exp(-r * t_end) / (r - lam0)
+        cost = trap_dot(np.exp(-r * cm.t), cm.values, cm.dt) + tail
     slack = init.k0 - cost
     return FeasibilityReport(
         cm=cm,

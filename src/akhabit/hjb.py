@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, MismatchError
-from .model import HistoryGrid, ModelParams, validate
+from .model import HistoryGrid, ModelParams, habit_of_history, validate
 from .quadrature import exp_integral, exp_weights
 
 #: relative disagreement between the two G quadrature forms that flags a
@@ -80,8 +80,7 @@ def _window_functionals(history: HistoryGrid, params: ModelParams) -> tuple[floa
 
     W = integral over [t-tau, t] of exp(r (t-s)) c~(s) ds, re-based.
     """
-    h = params.eps * exp_integral(history.values, params.eta, history.dt)
-    return h, exp_integral(history.values, -params.r, history.dt)
+    return habit_of_history(history, params), exp_integral(history.values, -params.r, history.dt)
 
 
 def aggregate(

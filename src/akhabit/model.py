@@ -82,8 +82,8 @@ class DerivedConstants:
     nu      value-function scale, alpha^(-gamma)/(1-gamma)
     kappa0  capital weight of the aggregate state,
             1 - eps*(1 - exp(-(r+eta)*tau))/(r+eta); positive in-regime
-    lambda0 real characteristic root of the habit delay kernel; filled by
-            the spectral module, None until then
+    lambda0 real characteristic root of the habit delay kernel; None unless
+            a caller sets it by ``with_lambda0`` (nothing in the package does)
     """
 
     alpha: float
@@ -195,8 +195,7 @@ class HistoryGrid:
         if n == self.n:
             return self
         if n not in self._resampled:
-            grid = -self.tau + np.arange(n + 1) * (self.tau / n)
-            self._resampled[n] = HistoryGrid(self.tau, np.interp(grid, self.grid, self.values))
+            self._resampled[n] = self.from_callable(self.interp, self.tau, n)
         return self._resampled[n]
 
     def is_positive_somewhere(self) -> bool:
@@ -236,6 +235,7 @@ def habit_of_history(history: HistoryGrid, params: ModelParams) -> float:
     """Initial habit level h(0) = eps * integral of c0(u) exp(eta*u) over [-tau, 0].
 
     Trapezoid on the history grid; converges at order 2 in the grid step.
+    The one evaluation of h(0); hjb, the minimal plan and both integrators read it.
     """
     if abs(history.tau - params.tau) > 1e-12 * max(1.0, params.tau):
         raise DomainError(

@@ -461,14 +461,11 @@ def perturbation_test(
         else:
             bump = np.zeros_like(t)
             bump[rng.integers(0, problem.m + 1)] = 1.0
-        candidate = base_controls + amp * bump
-        J = evaluate_objective(problem, project_feasible(problem, candidate))
-        for _half in range(20):
+        for _try in range(21):  # the amplitude, then up to 20 halvings of it
+            J = evaluate_objective(problem, project_feasible(problem, base_controls + amp * bump))
             if math.isfinite(J):
                 break
             amp *= 0.5
-            candidate = base_controls + amp * bump
-            J = evaluate_objective(problem, project_feasible(problem, candidate))
         gain = J - base.J
         if gain > max_gain:
             max_gain = gain

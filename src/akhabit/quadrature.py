@@ -104,18 +104,16 @@ class WindowKernel(NamedTuple):
 
     beta: float
     dt: float
-    weights: np.ndarray  # exp_weights(beta, dt, n)
-    w: np.ndarray  # dt * weights
+    w: np.ndarray  # dt * exp_weights(beta, dt, n)
     kern: np.ndarray  # w with the trapezoid halving at both ends
 
 
 def window_kernel(beta: float, dt: float, n: int) -> WindowKernel:
     """The ``WindowKernel`` of I_beta on a memory length of n steps."""
-    weights = exp_weights(beta, dt, n)
-    w = dt * weights
+    w = dt * exp_weights(beta, dt, n)
     kern = w.copy()
     kern[[0, -1]] *= 0.5
-    return WindowKernel(beta, dt, weights, w, kern)
+    return WindowKernel(beta, dt, w, kern)
 
 
 def window_integrals(

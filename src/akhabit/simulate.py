@@ -45,14 +45,12 @@ from . import dde
 from .decimal17 import encode_rows
 from .errors import CoarseGridError, ConstraintError, InconsistencyError
 from .hjb import aggregate, habit_weight
-from .model import HistoryGrid, InitialState, ModelParams, validate
+from .model import HistoryGrid, InitialState, ModelParams, habit_of_history, validate
 from .quadrature import (
     block_windows,
     cumulative_trapezoid,
-    exp_weights,
     linear_scan,
     steps_for,
-    trap_dot,
     window_integrals,
     window_kernel,
 )
@@ -314,7 +312,7 @@ def simulate_integral_form(
     W_known = np.empty(steps + 1)
 
     k[0] = init.k0
-    h[0] = params.eps * trap_dot(h_kernel.weights, hv, dt)
+    h[0] = habit_of_history(hist, params)
     G[0] = aggregate(init.k0, hist, params)
     c[0] = h[0] + alpha * G[0]
 
@@ -419,7 +417,7 @@ def simulate_lambda_form(
     h = np.empty(steps + 1)
 
     k[0] = init.k0
-    h[0] = eps * trap_dot(exp_weights(eta, dt, n), hv, dt)
+    h[0] = habit_of_history(hist, params)
     c[0] = h[0] + Lam
 
     c_tol = 1e-9 * (abs(h[0]) + abs(Lam) + 1.0)

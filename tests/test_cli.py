@@ -631,3 +631,22 @@ class TestHorizonsAndLoader:
         )
         with pytest.raises(ScenarioError):
             load_scenario(path)
+
+
+class TestOneValuePerRun:
+    SMALL_ORACLE = {"oracle_m": 600, "oracle_horizon": 6.0, "trials": 5, "ascent_iters": 20}
+
+    def test_seed_flag_is_the_scenario_seed(self, tmp_path, capsys):
+        flag = write_scenario(tmp_path, "flag.yaml", numerics=self.SMALL_ORACLE)
+        filed = write_scenario(tmp_path, "filed.yaml", numerics=dict(self.SMALL_ORACLE, seed=7))
+        assert run(flag, tmp_path / "flag", seed=7) == run(filed, tmp_path / "filed")
+        for name in ("report.json", "report.txt"):
+            assert (tmp_path / "flag" / name).read_bytes() == (tmp_path / "filed" / name).read_bytes()
+        assert json.loads((tmp_path / "flag" / "report.json").read_text())["oracle"]["seed"] == 7
+
+    def test_oracle_reads_the_hjb_value(self, tmp_path, capsys):
+        # a run grid above 1000 nodes per tau, finer than the oracle's own
+        path = write_scenario(tmp_path, numerics=dict(self.SMALL_ORACLE, n=1200))
+        run(path, tmp_path / "out")
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["oracle"]["v_predicted"] == report["hjb"]["v"]

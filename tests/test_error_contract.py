@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import akhabit.simulate as simulate
-from akhabit.cli import load_scenario, run, run_pipeline, sweep
+from akhabit.cli import load_scenario, main, run, run_pipeline, sweep
 from akhabit.spectral import phi, real_root
 
 BASE = {
@@ -312,3 +312,49 @@ def test_every_input_ends_in_a_result_line(tmp_path, doc, param, values):
     ):
         assert code in (0, 1, 2, 3)
         assert last.startswith("RESULT ")
+
+
+# -- nesting and usage ------------------------------------------------------------
+
+DEEP_EXPRS = {
+    "sum-1000": "+".join(["u"] * 1000),
+    "minus-5000": "-" * 5000 + "u",
+    "power-3000": "**".join(["u"] * 3001),
+}
+
+
+@pytest.mark.parametrize("expr", DEEP_EXPRS.values(), ids=DEEP_EXPRS)
+def test_deeply_nested_history_expr_is_exit_3(tmp_path, expr):
+    # the parser or the evaluator runs out of stack: a defect of the file, not of the package
+    path = scenario(tmp_path, initial={"history": {"expr": expr}})
+    for code, last, err in run_and_sweep(tmp_path, path):
+        assert code == 3, err
+        assert last.startswith("RESULT error parse:scenario: history expr is too deep or too large"), last
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["run"],
+        ["sweep", "scn.yaml", "--param", "foo", "--values", "1"],
+        ["run", "scn.yaml", "--seed", "x"],
+        ["bogus"],
+    ],
+    ids=["no-command", "no-scenario", "sweep-param", "seed-type", "unknown-command"],
+)
+def test_usage_error_is_exit_3_with_a_result_line(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert info.value.code == 3
+    assert out.splitlines()[-1].startswith("RESULT error parse:args: ")
+    assert err.startswith("usage: akhabit")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["run", "-h"], ["sweep", "-h"]])
+def test_help_is_exit_0_without_a_result_line(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 0
+    assert "RESULT" not in capsys.readouterr().out

@@ -47,3 +47,11 @@ def test_oracle_api_raises_a_value_error(params, init):
         with pytest.raises(InfeasibleControlError) as info:
             call(prob, zero)
         assert isinstance(info.value, ValueError)
+
+
+def test_infeasible_closed_loop_has_an_infinite_ascent_gap(tmp_path, capsys):
+    # J_cl = -inf, so the relative gap |J - J_cl| / |J_cl| is inf / inf; the run reports inf
+    assert run(scenario(tmp_path, **CLOSED_LOOP_INFEASIBLE), tmp_path / "out") == 1
+    assert "CHECK ascent FAIL value=inf " in capsys.readouterr().out
+    section = json.loads((tmp_path / "out" / "report.json").read_text())["oracle"]
+    assert (section["J_closed_loop"], section["ascent_gap"]) == ("-inf", "inf")
