@@ -435,25 +435,19 @@ def _stages(report: RunReport, scn: Scenario, run_oracle: bool, kernel) -> None:
     if not feas.feasible:
         raise _Rejected(InfeasibleError.code, {})
 
-    # the integral form computes Lambda on the run grid, so it runs first
-    # and Lambda is not computed twice; a failure of either integrator is
-    # held back and reported in the order of the checks, after Lambda and
-    # the hjb section
+    # the integrators compute Lambda on the run grid; a failure of either is
+    # held back and reported after the Lambda gate and the hjb section
     failure = None
     try:
         traj = simulate.simulate_integral_form(scn.params, scn.initial, scn.horizon, n=num.n)
+        traj_l = simulate.simulate_lambda_form(scn.params, scn.initial, scn.horizon, n=num.n)
         Lam = traj.Lambda
     except AkHabitError as exc:
         failure = exc
         Lam = simulate.lambda_constant(scn.params, scn.initial.resample(num.n))
-    if Lam <= 0.0 or abs(Lam) <= 1e-10 * (1.0 + scn.initial.k0):
+    if Lam <= 0.0 or simulate.lambda_on_boundary(Lam, scn.initial.k0):
         threshold = simulate.initial_capital_threshold(scn.params, scn.initial.history.resample(num.n))
         raise _Rejected("lambda:nonpositive", {"Lambda": Lam, "k0_threshold": threshold})
-    if failure is None:
-        try:
-            traj_l = simulate.simulate_lambda_form(scn.params, scn.initial, scn.horizon, n=num.n)
-        except ConstraintError as exc:
-            failure = exc
 
     # the run's one v(x0), which the oracle also reads; a single state is cheap,
     # so G_value's dual-quadrature cross-check gets a fine window whatever the grid

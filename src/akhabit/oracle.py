@@ -46,6 +46,7 @@ import numpy as np
 from .errors import DomainError, InfeasibleControlError, NonConvergence, OptimalityViolation
 from .hjb import habit_weight
 from .model import InitialState, ModelParams, validate
+from .quadrature import cumulative_trapezoid
 
 #: relative slack used when checking constraints of candidate controls
 FEAS_TOL = 1e-9
@@ -222,11 +223,7 @@ class DiscreteProblem:
 
     def capital(self, controls: np.ndarray) -> np.ndarray:
         """k(t) = e^{rt} (k0 - integral of e^{-ru} c(u) du), cumulative trapezoid."""
-        f = self.disc_r * controls
-        integral = np.empty(self.m + 1)
-        integral[0] = 0.0
-        np.cumsum(self.dt * 0.5 * (f[1:] + f[:-1]), out=integral[1:])
-        return self.grow_r * (self.init.k0 - integral)
+        return self.grow_r * (self.init.k0 - cumulative_trapezoid(self.disc_r * controls, self.dt))
 
     def terminal_aggregate(self, controls: np.ndarray, k_T: float, h_T: float) -> float:
         W_T = float(self.wker @ controls[self.m - self.n_tau :])

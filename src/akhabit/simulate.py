@@ -164,6 +164,11 @@ def initial_capital_threshold(params: ModelParams, history: HistoryGrid) -> floa
     return -aggregate(0.0, history, params) / validate(params).kappa0
 
 
+def lambda_on_boundary(Lam: float, k0: float) -> bool:
+    """The one rule for boundary data, |Lambda| <= 1e-10 * (1 + k0): a ``degenerate`` path, a rejected run."""
+    return abs(Lam) <= 1e-10 * (1.0 + k0)
+
+
 def _rk4_maps(r: float, a: float, dt: float) -> tuple[np.ndarray, ...]:
     """One 4-stage step of (k, h)' = (r k - h, a h) + f as linear maps.
 
@@ -222,8 +227,7 @@ def _prepare(params, init, n):
     hist = init.history if n is None else init.history.resample(n)
     init = InitialState(init.k0, hist)
     Lam = lambda_constant(params, init)
-    scale = der.alpha * der.kappa0 * init.k0 + 1.0
-    degenerate = abs(Lam) <= 1e-10 * scale
+    degenerate = lambda_on_boundary(Lam, init.k0)
     if Lam < 0.0 and not degenerate:
         raise ConstraintError(
             f"consumption would start below the habit: Lambda = {Lam:.6g} < 0 "
@@ -237,6 +241,20 @@ def _prepare(params, init, n):
             stacklevel=3,
         )
     return der, init, hist, Lam, degenerate
+
+
+def _start(params, init, hist, Lam, T):
+    """Node times, k, c, h with k(0) = k0 and h(0) set, and the slacks of c >= h and k >= 0."""
+    steps = steps_for(T, hist.dt)
+    t = np.arange(steps + 1) * hist.dt
+    k = np.empty(steps + 1)
+    c = np.zeros(steps + 1)
+    h = np.empty(steps + 1)
+    k[0] = init.k0
+    h[0] = habit_of_history(hist, params)
+    c_tol = 1e-9 * (abs(h[0]) + abs(Lam) + 1.0)
+    k_tol = 1e-9 * init.k0
+    return t, k, c, h, c_tol, k_tol
 
 
 def _finalize(params, der, hist, Lam, degenerate, method, t, k, c, h, G):
@@ -292,7 +310,6 @@ def simulate_integral_form(
     b = r + params.eta
     q = habit_weight(params)
     alpha, kappa0 = der.alpha, der.kappa0
-    steps = steps_for(T, dt)
     h_kernel = window_kernel(params.eta, dt, n)
     W_kernel = window_kernel(-r, dt, n)
     a_rk, b_rk, d_rk = _rk4_linear_coeffs(r, dt)
@@ -304,20 +321,12 @@ def simulate_integral_form(
         )
 
     hv = hist.values
-    t = np.arange(steps + 1) * dt
-    k = np.empty(steps + 1)
-    c = np.zeros(steps + 1)
-    h = np.empty(steps + 1)
-    G = np.empty(steps + 1)
-    W_known = np.empty(steps + 1)
-
-    k[0] = init.k0
-    h[0] = habit_of_history(hist, params)
+    t, k, c, h, c_tol, k_tol = _start(params, init, hist, Lam, T)
+    steps = len(t) - 1
+    G = np.empty_like(k)
+    W_known = np.empty_like(k)
     G[0] = aggregate(init.k0, hist, params)
     c[0] = h[0] + alpha * G[0]
-
-    c_tol = 1e-9 * (abs(h[0]) + abs(Lam) + 1.0)
-    k_tol = 1e-9 * init.k0
     eps = params.eps
     h_gain, k_gain, W_gain = 1.0 - alpha / b, alpha * kappa0, alpha * q
     implicit = 1.0 - self_weight
@@ -393,7 +402,6 @@ def simulate_lambda_form(
     eps, eta = params.eps, params.eta
     Gamma = der.Gamma
     decay = math.exp(-eta * params.tau)
-    steps = steps_for(T, dt)
     P, F0, Fm, F1 = _rk4_maps(r, eps - eta, dt)
     log_pk, log_ph = _rk4_log_growth(r * dt), _rk4_log_growth((eps - eta) * dt)
     p_kh = float(P[0, 1])
@@ -411,17 +419,9 @@ def simulate_lambda_form(
     delayed = -eps * decay * np.stack([F0[:, 1], Fm[:, 1], F1[:, 1]], axis=1)
 
     hv = hist.values
-    t = np.arange(steps + 1) * dt
-    k = np.empty(steps + 1)
-    c = np.zeros(steps + 1)
-    h = np.empty(steps + 1)
-
-    k[0] = init.k0
-    h[0] = habit_of_history(hist, params)
+    t, k, c, h, c_tol, k_tol = _start(params, init, hist, Lam, T)
     c[0] = h[0] + Lam
-
-    c_tol = 1e-9 * (abs(h[0]) + abs(Lam) + 1.0)
-    k_tol = 1e-9 * init.k0
+    steps = len(t) - 1
     for lo in range(0, steps, n):
         hi = min(lo + n, steps)
         m = hi - lo

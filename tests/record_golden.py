@@ -7,8 +7,10 @@ the oracle at the file's seed and once with ``--no-oracle``, always with
 ``--plot-data``: every file it writes and its stdout are hashed.  Each
 sweep of ``baseline.yaml`` over k0, eps and tau contributes ``sweep.csv``
 and its stdout.  ``tests/test_golden.py`` recomputes the same hashes and
-compares them with the file.  Regenerating the file is a change of test
-data: say which hashes moved, and why.
+compares them with the file.  Before it overwrites the file, the script
+prints to stderr each key whose hash differs from the file's, and their
+count.  Regenerating the file is a change of test data: say which hashes
+moved, and why.
 """
 
 from __future__ import annotations
@@ -79,6 +81,11 @@ def golden_hashes(work: Path) -> dict:
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         hashes = golden_hashes(Path(tmp))
+    old = json.loads(GOLDEN.read_text())["hashes"] if GOLDEN.exists() else {}
+    moved = sorted(key for key in old.keys() | hashes.keys() if old.get(key) != hashes.get(key))
+    for key in moved:
+        print(f"moved: {key}", file=sys.stderr)
+    print(f"{len(moved)} of {len(hashes)} hashes moved", file=sys.stderr)
     doc = {
         "recorded_on": {
             "machine": platform.machine(),

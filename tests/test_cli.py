@@ -424,6 +424,38 @@ class TestLambdaGate:
         assert (report.status, report.code) == ("reject", "lambda:nonpositive")
         assert report.closed_loop["Lambda"] == Lam
 
+    def test_boundary_lambda_is_one_rule(self, tmp_path, feasible):
+        # Lambda = 1.085e-10 lies inside 1e-10 * (1 + k0) = 1.17e-10 but above
+        # 1e-10 * (alpha*kappa0*k0 + 1) = 1.018e-10: the trajectory and the
+        # gate must read the same rule
+        import warnings
+
+        from akhabit.simulate import initial_capital_threshold, lambda_constant, simulate_integral_form
+
+        probe = self.scenario(tmp_path, 1.0)
+        k0 = float(initial_capital_threshold(probe.params, probe.initial.history)) * (1.0 + 6.1e-9)
+        scn = self.scenario(tmp_path, k0)
+        assert 1.02e-10 < lambda_constant(scn.params, scn.initial) < 1.17e-10
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            traj = simulate_integral_form(scn.params, scn.initial, scn.horizon, n=scn.numerics.n)
+        assert traj.degenerate
+        report = run_pipeline(scn, run_oracle=False)
+        assert (report.status, report.code) == ("reject", "lambda:nonpositive")
+
+    def test_failed_lambda_form_reported_after_hjb(self, tmp_path, feasible, monkeypatch):
+        import akhabit.simulate as simulate
+        from akhabit.errors import ConstraintError
+
+        def solve(*args, **kwargs):
+            raise ConstraintError("late", t=3.0)
+
+        monkeypatch.setattr(simulate, "simulate_lambda_form", solve)
+        report = run_pipeline(self.scenario(tmp_path, 10.0), run_oracle=False)
+        assert (report.status, report.code) == ("reject", "simulate:constraint")
+        assert report.closed_loop == {"error": "late"}
+        assert set(report.hjb) == {"G", "v", "c_feedback", "hjb_residual"}
+
     @pytest.mark.parametrize("k0", [0.1, 10.0], ids=["lambda-negative", "lambda-positive"])
     def test_failed_integral_form_reported_after_lambda_and_hjb(self, tmp_path, feasible, monkeypatch, k0):
         import akhabit.simulate as simulate
