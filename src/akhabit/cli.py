@@ -435,8 +435,7 @@ def _stages(report: RunReport, scn: Scenario, run_oracle: bool, kernel) -> None:
     if not feas.feasible:
         raise _Rejected(InfeasibleError.code, {})
 
-    # the integrators compute Lambda on the run grid; a failure of either is
-    # held back and reported after the Lambda gate and the hjb section
+    # a failed integrator is reported after the Lambda gate and the hjb section
     failure = None
     try:
         traj = simulate.simulate_integral_form(scn.params, scn.initial, scn.horizon, n=num.n)

@@ -15,8 +15,8 @@ reduces it to a single window quadrature,
     h/(r+eta) - eps*exp(-(r+eta)tau)/(r+eta) *
         integral over [t-tau, t] of exp(r (t-s)) c~(s) ds,
 
-which is the form used throughout the package; G_value evaluates both
-forms and cross-checks them.
+which is the form used throughout the package (``aggregate_of``, the
+one formula for G); G_value evaluates both forms and cross-checks them.
 
 The HJB residual assembles rho*v - H from the three scalar pieces that
 survive the reduction (no gradient object is ever materialized): the
@@ -83,22 +83,20 @@ def _window_functionals(history: HistoryGrid, params: ModelParams) -> tuple[floa
     return habit_of_history(history, params), exp_integral(history.values, -params.r, history.dt)
 
 
-def aggregate(
-    k: float,
-    history: HistoryGrid,
-    params: ModelParams,
-    window: tuple[float, float] | None = None,
-) -> float:
-    """The aggregate G = kappa0*k - (h/(r+eta) - w*W) by the single-window form.
+def aggregate_of(k, h, W, params: ModelParams):
+    """The aggregate G = kappa0*k - h/(r+eta) + w*W from capital, habit and discounted window.
 
-    The one evaluation of G from capital and a consumption window; every
-    other route to G (Lambda, the capital threshold, the simulated paths'
-    starting value, G_value) goes through it.  ``window`` is (h, W) of
-    ``history`` if the caller has them already.
+    The one formula for G, on scalars or on whole paths: ``aggregate``,
+    ``G_value`` and both simulated paths' G columns evaluate it.  The
+    oracle keeps its own terminal G on its own grid and kernel, because its
+    salvage is part of the independent optimality check.
     """
-    der = validate(params)
-    h, W = _window_functionals(history, params) if window is None else window
-    return der.kappa0 * k - (h / (params.r + params.eta) - habit_weight(params) * W)
+    return validate(params).kappa0 * k - h / (params.r + params.eta) + habit_weight(params) * W
+
+
+def aggregate(k: float, history: HistoryGrid, params: ModelParams) -> float:
+    """G from capital and a consumption window: G(0) for Lambda, k0* and the integral form."""
+    return aggregate_of(k, *_window_functionals(history, params), params)
 
 
 def inner_component(past_c: HistoryGrid, params: ModelParams) -> np.ndarray:
@@ -130,7 +128,7 @@ def G_value(state: StateSample, params: ModelParams, mismatch_tol: float = G_MIS
     the reduced form.
     """
     der = validate(params)
-    reduced = aggregate(state.k, state.past_c, params, state.window_functionals(params))
+    reduced = aggregate_of(state.k, *state.window_functionals(params), params)
     second_reduced = der.kappa0 * state.k - reduced
 
     second_direct = exp_integral(inner_component(state.past_c, params), params.r, state.past_c.dt)

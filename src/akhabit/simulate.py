@@ -26,10 +26,12 @@ Two integrators produce the path:
   (``quadrature.linear_scan``, cut into sub-blocks whose powers of the
   step factor stay within e^(+-SCAN_SPAN)).
 
-The two routes share nothing beyond the initial quadratures, so their
-agreement (and the vanishing residual of the external-habit policy
-formula along either path) is the verification target rather than an
-assumption.
+The two routes share only their start (``_start``: k(0), h(0) and the
+constraint slacks) and G's formula (``hjb.aggregate_of``).  The lambda
+form's G column is still its own window quadrature of its path, not its
+ODE state.  So their agreement (and the vanishing residual of the
+external-habit policy formula along either path) is the verification
+target rather than an assumption.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import numpy as np
 from . import dde
 from .decimal17 import encode_rows
 from .errors import CoarseGridError, ConstraintError, InconsistencyError
-from .hjb import aggregate, habit_weight
+from .hjb import aggregate, aggregate_of, habit_weight
 from .model import HistoryGrid, InitialState, ModelParams, habit_of_history, validate
 from .quadrature import (
     block_windows,
@@ -142,7 +144,7 @@ class MonitorReport:
 def lambda_constant(params: ModelParams, init: InitialState) -> float:
     """Level Lambda of the detrended excess consumption, from the initial data.
 
-    Lambda = (r - Gamma) * G(0) with G(0) = kappa0*k0 - (h0/(r+eta) - w*V0);
+    Lambda = (r - Gamma) * G(0) with G(0) = kappa0*k0 - h0/(r+eta) + w*V0;
     equivalently alpha * G(0).  Both products are computed and must agree
     to rounding (the prefactors r - Gamma and alpha are the same number
     through different arithmetic).
@@ -247,14 +249,11 @@ def _start(params, init, hist, Lam, T):
     """Node times, k, c, h with k(0) = k0 and h(0) set, and the slacks of c >= h and k >= 0."""
     steps = steps_for(T, hist.dt)
     t = np.arange(steps + 1) * hist.dt
-    k = np.empty(steps + 1)
-    c = np.zeros(steps + 1)
-    h = np.empty(steps + 1)
+    k, c, h = np.empty(steps + 1), np.zeros(steps + 1), np.empty(steps + 1)
     k[0] = init.k0
     h[0] = habit_of_history(hist, params)
     c_tol = 1e-9 * (abs(h[0]) + abs(Lam) + 1.0)
-    k_tol = 1e-9 * init.k0
-    return t, k, c, h, c_tol, k_tol
+    return t, k, c, h, c_tol, 1e-9 * init.k0
 
 
 def _finalize(params, der, hist, Lam, degenerate, method, t, k, c, h, G):
@@ -304,8 +303,7 @@ def simulate_integral_form(
     and the first violating node is reported.
     """
     der, init, hist, Lam, degenerate = _prepare(params, init, n)
-    n = hist.n
-    dt = hist.dt
+    n, dt = hist.n, hist.dt
     r = params.r
     b = r + params.eta
     q = habit_weight(params)
@@ -316,15 +314,12 @@ def simulate_integral_form(
 
     self_weight = (params.eps * dt / 2.0) * (1.0 - alpha / b) + alpha * kappa0 * d_rk + alpha * q * (dt / 2.0)
     if self_weight >= 1.0:
-        raise CoarseGridError(
-            f"implicit weight {self_weight:.3g} >= 1 at n={n}; raise n"
-        )
+        raise CoarseGridError(f"implicit weight {self_weight:.3g} >= 1 at n={n}; raise n")
 
     hv = hist.values
     t, k, c, h, c_tol, k_tol = _start(params, init, hist, Lam, T)
     steps = len(t) - 1
-    G = np.empty_like(k)
-    W_known = np.empty_like(k)
+    G, W_known = np.empty_like(k), np.empty_like(k)
     G[0] = aggregate(init.k0, hist, params)
     c[0] = h[0] + alpha * G[0]
     eps = params.eps
@@ -361,7 +356,7 @@ def simulate_integral_form(
                 f"constraint violated at t={j * dt:.6g}: c={c[j]:.6g}, h={h[j]:.6g}, k={k[j]:.6g}",
                 t=j * dt,
             )
-    G[1:] = kappa0 * k[1:] - h[1:] / b + q * (W_known[1:] + (dt / 2.0) * c[1:])
+    G[1:] = aggregate_of(k[1:], h[1:], W_known[1:] + (dt / 2.0) * c[1:], params)
     traj = _finalize(params, der, hist, Lam, degenerate, "integral", t, k, c, h, G)
     # every run judges this path by its external-policy residual, so the
     # residual is computed with the path; the lambda form's stays unread
@@ -394,11 +389,8 @@ def simulate_lambda_form(
     block, and the first violating node is reported.
     """
     der, init, hist, Lam, degenerate = _prepare(params, init, n)
-    n = hist.n
-    dt = hist.dt
+    n, dt = hist.n, hist.dt
     r = params.r
-    b = r + params.eta
-    q = habit_weight(params)
     eps, eta = params.eps, params.eta
     Gamma = der.Gamma
     decay = math.exp(-eta * params.tau)
@@ -443,10 +435,8 @@ def simulate_lambda_form(
             j = lo + 1 + int(np.argmax(bad))
             raise ConstraintError(f"constraint violated at t={j * dt:.6g}", t=j * dt)
 
-    # the aggregate column is an independent window quadrature of the path,
-    # not the ODE state, so its drift is a genuine diagnostic here too
-    hq = eps * window_integrals(hv, c, eta, dt)
-    G = der.kappa0 * k - hq / b + q * window_integrals(hv, c, -r, dt)
+    # G is a window quadrature of the path, not the ODE state: its drift is a genuine diagnostic
+    G = aggregate_of(k, eps * window_integrals(hv, c, eta, dt), window_integrals(hv, c, -r, dt), params)
     return _finalize(params, der, hist, Lam, degenerate, "lambda", t, k, c, h, G)
 
 
