@@ -253,7 +253,8 @@ def _start(params, init, hist, Lam, T):
     k[0] = init.k0
     h[0] = habit_of_history(hist, params)
     c_tol = 1e-9 * (abs(h[0]) + abs(Lam) + 1.0)
-    return t, k, c, h, c_tol, 1e-9 * init.k0
+    k_tol = 1e-9 * init.k0
+    return t, k, c, h, c_tol, k_tol
 
 
 def _finalize(params, der, hist, Lam, degenerate, method, t, k, c, h, G):
