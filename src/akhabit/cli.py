@@ -415,7 +415,8 @@ def run_pipeline(scn: Scenario, run_oracle: bool = True, kernel: KernelResults |
 
 
 def _stages(report: RunReport, scn: Scenario, run_oracle: bool, kernel) -> None:
-    """Fill ``report`` stage by stage; a rejection raises _Rejected."""
+    """Fill ``report`` in one straight line: spectral, feasibility, Lambda gate, hjb,
+    both integrators, path monitors, oracle; a rejection raises _Rejected."""
     checks = report.checks
     num = scn.numerics
     try:
@@ -435,17 +436,10 @@ def _stages(report: RunReport, scn: Scenario, run_oracle: bool, kernel) -> None:
     if not feas.feasible:
         raise _Rejected(InfeasibleError.code, {})
 
-    # a failed integrator is reported after the Lambda gate and the hjb section
-    failure = None
-    try:
-        traj = simulate.simulate_integral_form(scn.params, scn.initial, scn.horizon, n=num.n)
-        traj_l = simulate.simulate_lambda_form(scn.params, scn.initial, scn.horizon, n=num.n)
-        Lam = traj.Lambda
-    except AkHabitError as exc:
-        failure = exc
-        Lam = simulate.lambda_constant(scn.params, scn.initial.resample(num.n))
+    init = scn.initial.resample(num.n)
+    Lam = simulate.lambda_constant(scn.params, init)
     if Lam <= 0.0 or simulate.lambda_on_boundary(Lam, scn.initial.k0):
-        threshold = simulate.initial_capital_threshold(scn.params, scn.initial.history.resample(num.n))
+        threshold = simulate.initial_capital_threshold(scn.params, init.history)
         raise _Rejected("lambda:nonpositive", {"Lambda": Lam, "k0_threshold": threshold})
 
     # the run's one v(x0), which the oracle also reads; a single state is cheap,
@@ -453,10 +447,11 @@ def _stages(report: RunReport, scn: Scenario, run_oracle: bool, kernel) -> None:
     state0 = StateSample(scn.initial.k0, scn.initial.history.resample(max(num.n, 1000)))
     report.hjb = state_values(state0, scn.params)
 
-    if isinstance(failure, ConstraintError):
-        raise _Rejected(failure.code, {"error": str(failure)})
-    if failure is not None:
-        raise failure
+    try:
+        traj = simulate.simulate_integral_form(scn.params, scn.initial, scn.horizon, n=num.n)
+        traj_l = simulate.simulate_lambda_form(scn.params, scn.initial, scn.horizon, n=num.n)
+    except ConstraintError as exc:
+        raise _Rejected(exc.code, {"error": str(exc)}) from exc
 
     report.closed_loop = {
         "Lambda": traj.Lambda,
@@ -472,18 +467,14 @@ def _stages(report: RunReport, scn: Scenario, run_oracle: bool, kernel) -> None:
     }
 
     mon = simulate.invariant_monitor(traj, scn.params, scn.initial, cm=feas.cm)
-    mon_l = simulate.invariant_monitor(traj_l, scn.params, scn.initial, cm=feas.cm)
-    cross = max(
-        (abs(a - b).max() / abs(a).max()).item()
-        for a, b in ((traj.k, traj_l.k), (traj.c, traj_l.c), (traj.h, traj_l.h))
-    )
+    mon_l = simulate.invariant_monitor(traj_l, scn.params, scn.initial, cm=feas.cm, reference=traj)
     ext = traj.external_residual.max().item()
     cm_scale = max(1.0, traj.c.max().item())
     report.invariants = {
         "g_drift_integral": mon.g_drift_max,
         "g_drift_lambda": mon_l.g_drift_max,
         "lambda_gap": mon.lambda_gap_max,
-        "cross_method": cross,
+        "cross_method": mon_l.cross_method,
         "external_residual": ext,
         "budget_integral": mon.budget_residual,
         "budget_lambda": mon_l.budget_residual,
@@ -493,7 +484,7 @@ def _stages(report: RunReport, scn: Scenario, run_oracle: bool, kernel) -> None:
         num,
         g_drift=max(mon.g_drift_max, mon_l.g_drift_max),
         lambda_law=mon.lambda_gap_max,
-        cross_method=cross,
+        cross_method=mon_l.cross_method,
         external=ext,
         budget=max(mon.budget_residual, mon_l.budget_residual),
     ))

@@ -29,9 +29,9 @@ Two integrators produce the path:
 The two routes share only their start (``_start``: k(0), h(0) and the
 constraint slacks) and G's formula (``hjb.aggregate_of``).  The lambda
 form's G column is still its own window quadrature of its path, not its
-ODE state.  So their agreement (and the vanishing residual of the
-external-habit policy formula along either path) is the verification
-target rather than an assumption.
+ODE state.  So their agreement (``invariant_monitor``'s ``cross_method``)
+and the vanishing residual of the external-habit policy formula along
+either path are the verification target rather than an assumption.
 """
 
 from __future__ import annotations
@@ -139,6 +139,7 @@ class MonitorReport:
     lambda_gap_max: float  # max of the trajectory's lambda_check column
     cm_margin_min: float  # min over nodes of c - c_m (should be >= -quadrature noise)
     budget_residual: float  # |disc. consumption + disc. terminal capital - k0| / k0
+    cross_method: float | None = None  # max over k, c, h of |ref - path|_max / |ref|_max
 
 
 def lambda_constant(params: ModelParams, init: InitialState) -> float:
@@ -471,14 +472,18 @@ def invariant_monitor(
     params: ModelParams,
     init: InitialState,
     cm: dde.SampledPath | None = None,
+    reference: Trajectory | None = None,
 ) -> MonitorReport:
     """Check the exponential G law, the excess law, the lower consumption
-    bound, and the discounted budget identity along one trajectory.
+    bound, and the discounted budget identity along one trajectory, and
+    its agreement with the other integrator's path.
 
     ``cm`` is the minimal plan on the trajectory's grid, at least as long
     as the path; a run passes the one its feasibility check computed
     (``FeasibilityReport.cm``), so c_m is integrated once per run.
-    Without it the monitor integrates c_m itself.
+    Without it the monitor integrates c_m itself.  ``reference`` is the
+    other integrator's path on the same grid, for ``cross_method`` (a run
+    passes the integral form when it monitors the lambda form).
     """
     der = validate(params)
     G_ref = traj.G[0] * np.exp(der.Gamma * traj.t)
@@ -492,10 +497,15 @@ def invariant_monitor(
     r = params.r
     disc = cumulative_trapezoid(np.exp(-r * traj.t) * traj.c, traj.dt)
     budget = abs(disc[-1] + math.exp(-r * traj.t[-1]) * traj.k[-1] - init.k0) / init.k0
+    cross = None if reference is None else max(
+        (abs(a - b).max() / abs(a).max()).item()
+        for a, b in ((reference.k, traj.k), (reference.c, traj.c), (reference.h, traj.h))
+    )
     return MonitorReport(
         g_drift=g_drift,
         g_drift_max=float(np.max(g_drift)),
         lambda_gap_max=float(np.max(traj.lambda_check)),
         cm_margin_min=float(np.min(margin)),
         budget_residual=budget,
+        cross_method=cross,
     )

@@ -318,15 +318,14 @@ def dominance_certificate(
     params: ModelParams,
     margin: float = 0.1,
     points: int = 4096,
-    im_half: float | None = None,
     lambda0: float | None = None,
 ) -> DominanceCertificate:
     """Certify that lambda0 is the only characteristic root with Re >= lambda0 - margin
-    in the strip |Im| <= im_half.
+    in the strip |Im| <= im_half = 4*pi/tau.
 
     Counts zeros of a(lam) in the rectangle [lambda0 - margin, lambda0 + margin]
-    x [-Q, Q] with Q = im_half, defaulting to 4*pi/tau (characteristic roots of
-    this kernel are spaced roughly 2*pi/tau apart in the imaginary direction).
+    x [-Q, Q] with Q = 4*pi/tau (characteristic roots of this kernel are spaced
+    roughly 2*pi/tau apart in the imaginary direction).
     The expected count is 1 for lambda0 itself plus 1 if the non-characteristic
     zero of a at -eta falls inside the box.  ``lambda0`` is the real root if
     the caller has it already.
@@ -334,8 +333,7 @@ def dominance_certificate(
     if margin <= 0.0:
         raise ValueError("margin must be > 0")
     lam0 = real_root(params) if lambda0 is None else lambda0
-    if im_half is None:
-        im_half = 4.0 * math.pi / params.tau
+    im_half = 4.0 * math.pi / params.tau
     re_lo, re_hi = lam0 - margin, lam0 + margin
     # keep the removable point off the boundary samples
     if abs(re_lo + params.eta) < 1e-12 or abs(re_hi + params.eta) < 1e-12:
