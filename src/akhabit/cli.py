@@ -429,14 +429,14 @@ def _stages(report: RunReport, scn: Scenario, run_oracle: bool, kernel) -> None:
     dominance = (float(spec["winding"]), float(spec["winding_expected"]), spec["dominance_verified"])
     checks.append(Check("dominance", *dominance))
 
+    init = scn.initial.resample(num.n)
     cm = kernel.cm if kernel else None
-    feas = dde.check_feasibility(scn.params, scn.initial, scn.horizon, num.n, lambda0=spec["lambda0"], cm=cm)
+    feas = dde.check_feasibility(scn.params, init, scn.horizon, lambda0=spec["lambda0"], cm=cm)
     report.feasibility = _feasibility_section(feas, scn.initial.k0)
     report.feasibility_data = feas
     if not feas.feasible:
         raise _Rejected(InfeasibleError.code, {})
 
-    init = scn.initial.resample(num.n)
     Lam = simulate.lambda_constant(scn.params, init)
     if Lam <= 0.0 or simulate.lambda_on_boundary(Lam, scn.initial.k0):
         threshold = simulate.initial_capital_threshold(scn.params, init.history)
@@ -448,8 +448,8 @@ def _stages(report: RunReport, scn: Scenario, run_oracle: bool, kernel) -> None:
     report.hjb = state_values(state0, scn.params)
 
     try:
-        traj = simulate.simulate_integral_form(scn.params, scn.initial, scn.horizon, n=num.n)
-        traj_l = simulate.simulate_lambda_form(scn.params, scn.initial, scn.horizon, n=num.n)
+        traj = simulate.simulate_integral_form(scn.params, init, scn.horizon)
+        traj_l = simulate.simulate_lambda_form(scn.params, init, scn.horizon)
     except ConstraintError as exc:
         raise _Rejected(exc.code, {"error": str(exc)}) from exc
 
@@ -504,7 +504,11 @@ def _oracle_section(scn: Scenario, checks: list, v_predicted: float) -> dict:
     T = scn.oracle_horizon
     m = num.oracle_m
     prob = oracle.DiscreteProblem(scn.params, scn.initial, T, m)
-    traj = simulate.simulate_integral_form(scn.params, prob.init, T)
+    try:
+        traj = simulate.simulate_integral_form(scn.params, prob.init, T)
+    except ConstraintError as exc:  # the closed loop breaks the constraints of the oracle's grid
+        checks.extend(Check(c, math.inf, num.tol(c), False) for c in ("value_match", "perturbation", "ascent"))
+        return {"closed_loop_error": str(exc), "v_predicted": v_predicted, "T": T, "m": m, "seed": num.seed}
     J_cl = oracle.evaluate_objective(prob, traj.c)
     match = abs(J_cl - v_predicted) / abs(v_predicted)
     checks.extend(_bounded(num, value_match=match))

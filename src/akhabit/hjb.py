@@ -95,8 +95,10 @@ def aggregate_of(k, h, W, params: ModelParams):
 
 
 def aggregate(k: float, history: HistoryGrid, params: ModelParams) -> float:
-    """G from capital and a consumption window: G(0) for Lambda, k0* and the integral form."""
-    return aggregate_of(k, *_window_functionals(history, params), params)
+    """G from capital and a window (its (h, W) kept per parameter set): G(0) for Lambda and k0*."""
+    if params not in history._windows:
+        history._windows[params] = _window_functionals(history, params)
+    return aggregate_of(k, *history._windows[params], params)
 
 
 def inner_component(past_c: HistoryGrid, params: ModelParams) -> np.ndarray:
@@ -137,7 +139,7 @@ def G_value(state: StateSample, params: ModelParams, mismatch_tol: float = G_MIS
     scale = abs(der.kappa0 * state.k) + abs(second_reduced) + abs(second_direct) + 1e-300
     if abs(direct - reduced) > mismatch_tol * scale:
         raise MismatchError(
-            f"G quadrature forms disagree: direct={direct!r} reduced={reduced!r} "
+            f"G quadrature forms disagree: direct={float(direct)!r} reduced={float(reduced)!r} "
             f"(relative {abs(direct - reduced) / scale:.3g}); grid too coarse"
         )
     return reduced

@@ -149,6 +149,8 @@ class HistoryGrid:
     # resample(n) results by n: the history is immutable, and a run asks
     # for its fine-grid copy once per pipeline (every row of a sweep)
     _resampled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # hjb.aggregate's (h(0), W(0)) by parameter set: the k0 rows of a sweep share them
+    _windows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)

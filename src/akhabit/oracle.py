@@ -492,7 +492,6 @@ class AscentResult:
     controls: np.ndarray
     J: float
     iterations: int
-    converged: bool
     projections: int  # project_feasible calls, the start's included
     backtracks: int  # step halvings in the line search
 
@@ -561,8 +560,7 @@ def projected_ascent(
         if stall >= 30:
             break
 
-    converged = target_value is None or best_J >= target_value
-    if target_value is not None and not converged:
+    if target_value is not None and not best_J >= target_value:
         raise NonConvergence(
             f"ascent stalled at J={best_J:.9g} after {it} iterations, "
             f"short of the target {target_value:.9g}"
@@ -571,7 +569,6 @@ def projected_ascent(
         controls=best_c,
         J=best_J,
         iterations=it,
-        converged=converged,
         projections=projections,
         backtracks=backtracks,
     )

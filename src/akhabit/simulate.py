@@ -26,12 +26,12 @@ Two integrators produce the path:
   (``quadrature.linear_scan``, cut into sub-blocks whose powers of the
   step factor stay within e^(+-SCAN_SPAN)).
 
-The two routes share only their start (``_start``: k(0), h(0) and the
-constraint slacks) and G's formula (``hjb.aggregate_of``).  The lambda
-form's G column is still its own window quadrature of its path, not its
-ODE state.  So their agreement (``invariant_monitor``'s ``cross_method``)
-and the vanishing residual of the external-habit policy formula along
-either path are the verification target rather than an assumption.
+The two routes share only their start (``_start``, once per call: h(0),
+G(0), Lambda, the slacks) and G's formula (``hjb.aggregate_of``).  The
+lambda form's G column is still its own window quadrature of its path,
+not its ODE state.  So their agreement (``invariant_monitor``'s
+``cross_method``) and the vanishing residual of the external-habit policy
+formula along either path are the verification target, not an assumption.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ import numpy as np
 from . import dde
 from .decimal17 import encode_rows
 from .errors import CoarseGridError, ConstraintError, InconsistencyError
-from .hjb import aggregate, aggregate_of, habit_weight
-from .model import HistoryGrid, InitialState, ModelParams, habit_of_history, validate
+from .hjb import _window_functionals, aggregate, aggregate_of, habit_weight
+from .model import HistoryGrid, InitialState, ModelParams, validate
 from .quadrature import (
     block_windows,
     cumulative_trapezoid,
@@ -82,7 +82,6 @@ class Trajectory:
     lambda_check: np.ndarray
     Lambda: float
     Gamma: float
-    method: str
     history: HistoryGrid
     degenerate: bool = False
     # the parameters the path was simulated under, for external_residual
@@ -150,14 +149,17 @@ def lambda_constant(params: ModelParams, init: InitialState) -> float:
     to rounding (the prefactors r - Gamma and alpha are the same number
     through different arithmetic).
     """
+    return _lambda_of(params, aggregate(init.k0, init.history, params), init.k0)
+
+
+def _lambda_of(params: ModelParams, G0: float, k0: float) -> float:
     der = validate(params)
-    G0 = aggregate(init.k0, init.history, params)
     direct = (params.r - der.Gamma) * G0
     via_alpha = der.alpha * G0
-    scale = abs(direct) + abs(via_alpha) + der.alpha * der.kappa0 * init.k0 + 1e-300
+    scale = abs(direct) + abs(via_alpha) + der.alpha * der.kappa0 * k0 + 1e-300
     if abs(direct - via_alpha) > 1e-8 * scale:
         raise InconsistencyError(
-            f"Lambda forms disagree: (r - Gamma)*G={direct!r} alpha*G={via_alpha!r}"
+            f"Lambda forms disagree: (r - Gamma)*G={float(direct)!r} alpha*G={float(via_alpha)!r}"
         )
     return direct
 
@@ -224,12 +226,14 @@ def _rk4_linear_coeffs(r: float, dt: float) -> tuple[float, float, float]:
     return float(P[0, 0]), -float(F0[0, 0] + half), -float(F1[0, 0] + half)
 
 
-def _prepare(params, init, n):
-    """Shared setup: resampled data, Lambda with degeneracy handling."""
+def _start(params, init, n, T):
+    """A path's start, each part computed once: der, the history on the grid, G(0), Lambda under the
+    boundary rule, node times, k, c, h with k(0) and h(0) set, and the slacks of c >= h and k >= 0."""
     der = validate(params)
     hist = init.history if n is None else init.history.resample(n)
-    init = InitialState(init.k0, hist)
-    Lam = lambda_constant(params, init)
+    h0, W0 = _window_functionals(hist, params)
+    G0 = aggregate_of(init.k0, h0, W0, params)
+    Lam = _lambda_of(params, G0, init.k0)
     degenerate = lambda_on_boundary(Lam, init.k0)
     if Lam < 0.0 and not degenerate:
         raise ConstraintError(
@@ -243,22 +247,23 @@ def _prepare(params, init, n):
             "(degenerate boundary initial data)",
             stacklevel=3,
         )
-    return der, init, hist, Lam, degenerate
-
-
-def _start(params, init, hist, Lam, T):
-    """Node times, k, c, h with k(0) = k0 and h(0) set, and the slacks of c >= h and k >= 0."""
     steps = steps_for(T, hist.dt)
     t = np.arange(steps + 1) * hist.dt
     k, c, h = np.empty(steps + 1), np.zeros(steps + 1), np.empty(steps + 1)
     k[0] = init.k0
-    h[0] = habit_of_history(hist, params)
-    c_tol = 1e-9 * (abs(h[0]) + abs(Lam) + 1.0)
+    h[0] = h0
+    c_tol = 1e-9 * (abs(h0) + abs(Lam) + 1.0)
     k_tol = 1e-9 * init.k0
-    return t, k, c, h, c_tol, k_tol
+    return der, hist, G0, Lam, degenerate, t, k, c, h, c_tol, k_tol
 
 
-def _finalize(params, der, hist, Lam, degenerate, method, t, k, c, h, G):
+def _prepare(params, init, n):
+    """(der, resampled init, history, Lambda, degenerate) of ``_start``."""
+    der, hist, _, Lam, degenerate, *_ = _start(params, init, n, init.history.tau)
+    return der, InitialState(init.k0, hist), hist, Lam, degenerate
+
+
+def _finalize(params, der, hist, Lam, degenerate, t, k, c, h, G):
     c_minus_h = c - h
     if Lam > 0.0:
         lam_check = np.abs(c_minus_h - Lam * np.exp(der.Gamma * t)) / (
@@ -276,7 +281,6 @@ def _finalize(params, der, hist, Lam, degenerate, method, t, k, c, h, G):
         lambda_check=lam_check,
         Lambda=Lam,
         Gamma=der.Gamma,
-        method=method,
         history=hist,
         degenerate=degenerate,
         _params=params,
@@ -304,7 +308,7 @@ def simulate_integral_form(
     mode with its rounding.  The constraints are checked once per block,
     and the first violating node is reported.
     """
-    der, init, hist, Lam, degenerate = _prepare(params, init, n)
+    der, hist, G0, Lam, degenerate, t, k, c, h, c_tol, k_tol = _start(params, init, n, T)
     n, dt = hist.n, hist.dt
     r = params.r
     b = r + params.eta
@@ -319,11 +323,9 @@ def simulate_integral_form(
         raise CoarseGridError(f"implicit weight {self_weight:.3g} >= 1 at n={n}; raise n")
 
     hv = hist.values
-    t, k, c, h, c_tol, k_tol = _start(params, init, hist, Lam, T)
     steps = len(t) - 1
-    G, W_known = np.empty_like(k), np.empty_like(k)
-    G[0] = aggregate(init.k0, hist, params)
-    c[0] = h[0] + alpha * G[0]
+    W_known = np.empty_like(k)
+    c[0] = h[0] + alpha * G0
     eps = params.eps
     h_gain, k_gain, W_gain = 1.0 - alpha / b, alpha * kappa0, alpha * q
     implicit = 1.0 - self_weight
@@ -358,8 +360,8 @@ def simulate_integral_form(
                 f"constraint violated at t={j * dt:.6g}: c={c[j]:.6g}, h={h[j]:.6g}, k={k[j]:.6g}",
                 t=j * dt,
             )
-    G[1:] = aggregate_of(k[1:], h[1:], W_known[1:] + (dt / 2.0) * c[1:], params)
-    traj = _finalize(params, der, hist, Lam, degenerate, "integral", t, k, c, h, G)
+    G = np.append(G0, aggregate_of(k[1:], h[1:], W_known[1:] + (dt / 2.0) * c[1:], params))
+    traj = _finalize(params, der, hist, Lam, degenerate, t, k, c, h, G)
     # every run judges this path by its external-policy residual, so the
     # residual is computed with the path; the lambda form's stays unread
     traj.external_residual
@@ -390,7 +392,7 @@ def simulate_lambda_form(
     them by Lambda e^(Gamma t_lo).  The constraints are checked once per
     block, and the first violating node is reported.
     """
-    der, init, hist, Lam, degenerate = _prepare(params, init, n)
+    der, hist, _, Lam, degenerate, t, k, c, h, c_tol, k_tol = _start(params, init, n, T)
     n, dt = hist.n, hist.dt
     r = params.r
     eps, eta = params.eps, params.eta
@@ -413,7 +415,6 @@ def simulate_lambda_form(
     delayed = -eps * decay * np.stack([F0[:, 1], Fm[:, 1], F1[:, 1]], axis=1)
 
     hv = hist.values
-    t, k, c, h, c_tol, k_tol = _start(params, init, hist, Lam, T)
     c[0] = h[0] + Lam
     steps = len(t) - 1
     for lo in range(0, steps, n):
@@ -439,7 +440,7 @@ def simulate_lambda_form(
 
     # G is a window quadrature of the path, not the ODE state: its drift is a genuine diagnostic
     G = aggregate_of(k, eps * window_integrals(hv, c, eta, dt), window_integrals(hv, c, -r, dt), params)
-    return _finalize(params, der, hist, Lam, degenerate, "lambda", t, k, c, h, G)
+    return _finalize(params, der, hist, Lam, degenerate, t, k, c, h, G)
 
 
 def external_residual_profile(traj: Trajectory, params: ModelParams) -> np.ndarray:
@@ -450,14 +451,13 @@ def external_residual_profile(traj: Trajectory, params: ModelParams) -> np.ndarr
     path it must hold identically, so the symmetric relative residual
     |lhs - rhs| / (|lhs| + |rhs| + floor) is zero up to quadrature noise.
     """
-    der = validate(params)
     r = params.r
     b = r + params.eta
     k, c, h = traj.k, traj.c, traj.h
     coef = params.eps * math.exp(-params.eta * params.tau) * math.exp(-r * params.tau)
     floor = RESIDUAL_FLOOR * max(traj.Lambda, 0.0) + 1e-300
     W = window_integrals(traj.history.values, c, -r, traj.dt)
-    lhs = (c - h) / (r - der.Gamma)
+    lhs = (c - h) / (r - traj.Gamma)
     rhs = k - (h + params.eps * (1.0 - math.exp(-b * params.tau)) * k - coef * W) / b
     return np.abs(lhs - rhs) / (np.abs(lhs) + np.abs(rhs) + floor)
 
@@ -485,8 +485,7 @@ def invariant_monitor(
     other integrator's path on the same grid, for ``cross_method`` (a run
     passes the integral form when it monitors the lambda form).
     """
-    der = validate(params)
-    G_ref = traj.G[0] * np.exp(der.Gamma * traj.t)
+    G_ref = traj.G[0] * np.exp(traj.Gamma * traj.t)
     if traj.G[0] > 0.0:
         g_drift = np.abs(traj.G - G_ref) / G_ref
     else:
