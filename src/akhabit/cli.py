@@ -38,7 +38,7 @@ import yaml
 
 from . import dde, oracle, simulate
 from .errors import AkHabitError, ConstraintError, DomainError, InfeasibleControlError, InfeasibleError
-from .errors import OptimalityViolation, ScenarioError
+from .errors import OptimalityViolation, ScenarioError, StepError
 from .hjb import StateSample, state_values
 from .model import DEFAULT_GRID, LOG_MAX, HistoryGrid, InitialState, ModelParams, validate
 from .spectral import spectral_report
@@ -168,35 +168,30 @@ class Scenario:
     def check_consistency(self) -> None:
         """Raise ScenarioError unless the grids fit the memory length.
 
-        The simulation horizon must cover one memory length tau, and when
-        the oracle is on its step must divide tau over a horizon beyond it.
-        Every grid the run integrates the minimal plan on must keep its
-        implicit weight eps*dt/2 below 1, or ``dde.minimal_consumption``
-        has no step to take.  Over every horizon T the run simulates,
-        e^(r T) must be a finite double (``parse:overflow`` otherwise).  The
-        run grid may hold at most MAX_NODES nodes, n * horizon / tau.
+        Every grid the run integrates the minimal plan on (the run grid,
+        and the oracle's when it is on) must pass ``dde.implicit_weight``:
+        a horizon of at least one memory length tau and a step with a
+        weight below 1.  The oracle's step must divide tau over a horizon
+        beyond it.  Over every horizon T the run simulates, e^(r T) must be
+        a finite double (``parse:overflow`` otherwise).  The run grid may
+        hold at most MAX_NODES nodes, n * horizon / tau.
         """
         p, num = self.params, self.numerics
-        if not self.horizon >= p.tau:
-            raise ScenarioError(f"horizon {self.horizon:g} is below one memory length tau = {p.tau:g}")
-        grids, horizons = [num.n], [self.horizon]
+        grids = [(num.n, self.horizon)]
         if num.oracle:
-            horizons.append(self.oracle_horizon)
+            T = self.oracle_horizon
             try:
-                grids.append(oracle.grid_cells(p.tau, self.oracle_horizon, num.oracle_m))
+                grids.append((oracle.grid_cells(p.tau, T, num.oracle_m), T))
             except DomainError as exc:
                 raise ScenarioError(
-                    f"oracle grid (oracle_horizon {self.oracle_horizon:g}, oracle_m {num.oracle_m}): {exc}"
+                    f"oracle grid (oracle_horizon {T:g}, oracle_m {num.oracle_m}): {exc}"
                 ) from exc
-        for n in grids:
-            # the same arithmetic as dde.minimal_consumption's step check
-            weight = p.eps * (p.tau / n) / 2.0
-            if weight >= 1.0:
-                raise ScenarioError(
-                    f"grid of {n} cells per tau is too coarse for the minimal plan: "
-                    f"eps*tau/(2n) = {weight:.3g} >= 1"
-                )
-        for T in horizons:
+        for n, T in grids:
+            try:
+                dde.implicit_weight(p, p.tau / n, T)
+            except (ValueError, StepError) as exc:
+                raise ScenarioError(f"grid of {n} cells per tau over horizon {T:g}: {exc}") from exc
+        for _, T in grids:
             # capital returns grow by e^(r T) over a horizon, the paths by at most that
             if p.r * T > LOG_MAX:
                 raise ScenarioError(f"e^(r T) overflows a double: r = {p.r:g}, T = {T:g}", code="parse:overflow")
@@ -769,4 +764,5 @@ def main(argv=None) -> None:
 
 
 if __name__ == "__main__":
+    # runs in a child process: tests/test_cli.py::TestConsoleEntry::test_module_invocation
     main()

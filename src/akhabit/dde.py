@@ -85,6 +85,16 @@ class FeasibilityReport:
     lambda0: float
 
 
+def implicit_weight(params: ModelParams, dt: float, T: float) -> float:
+    """Self-weight eps*dt/2 of a renewal step on [0, T]: ValueError if T < tau, StepError if >= 1."""
+    if T < params.tau:
+        raise ValueError(f"horizon T={T} must be at least one memory length tau={params.tau}")
+    weight = params.eps * dt / 2.0
+    if weight >= 1.0:
+        raise StepError(f"eps*dt/2 = {weight:.3g} >= 1; raise n above {params.eps * params.tau / 2:.0f}")
+    return weight
+
+
 def minimal_consumption(
     params: ModelParams,
     history: HistoryGrid,
@@ -101,16 +111,10 @@ def minimal_consumption(
     correlation over the previous memory length, and the block's own
     nodes from one prefix scan of the running sum (module docstring).
     """
-    if T < params.tau:
-        raise ValueError(f"horizon T={T} must be at least one memory length tau={params.tau}")
     hist = history if n is None else history.resample(n)
     n = hist.n
     dt = hist.dt
-    self_weight = params.eps * dt / 2.0
-    if self_weight >= 1.0:
-        raise StepError(
-            f"eps*dt/2 = {self_weight:.3g} >= 1; raise n above {params.eps * params.tau / 2:.0f}"
-        )
+    self_weight = implicit_weight(params, dt, T)
     steps = steps_for(T, dt)
     kernel = window_kernel(params.eta, dt, n)
     comp = np.zeros(steps + 1)

@@ -34,7 +34,7 @@ its drift pairing and B*Dv.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,20 +53,10 @@ class StateSample:
 
     k: float
     past_c: HistoryGrid
-    # window_functionals results by parameter set: G and the policy both
-    # need the habit of the same window
-    _windows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.k) and self.k >= 0.0):
             raise DomainError(f"capital must be finite and >= 0, got {self.k}", code="domain:k")
-
-    def window_functionals(self, params: ModelParams) -> tuple[float, float]:
-        """(habit h, discounted window W) of the window, computed once per parameter set."""
-        pair = self._windows.get(params)
-        if pair is None:
-            pair = self._windows[params] = _window_functionals(self.past_c, params)
-        return pair
 
 
 def habit_weight(params: ModelParams) -> float:
@@ -83,6 +73,14 @@ def _window_functionals(history: HistoryGrid, params: ModelParams) -> tuple[floa
     return habit_of_history(history, params), exp_integral(history.values, -params.r, history.dt)
 
 
+def _windows(history: HistoryGrid, params: ModelParams) -> tuple[float, float]:
+    """(h, W) of a window by ``_window_functionals``, kept on it per parameter set (solvers never read it)."""
+    pair = history._windows.get(params)
+    if pair is None:
+        pair = history._windows[params] = _window_functionals(history, params)
+    return pair
+
+
 def aggregate_of(k, h, W, params: ModelParams):
     """The aggregate G = kappa0*k - h/(r+eta) + w*W from capital, habit and discounted window.
 
@@ -95,10 +93,8 @@ def aggregate_of(k, h, W, params: ModelParams):
 
 
 def aggregate(k: float, history: HistoryGrid, params: ModelParams) -> float:
-    """G from capital and a window (its (h, W) kept per parameter set): G(0) for Lambda and k0*."""
-    if params not in history._windows:
-        history._windows[params] = _window_functionals(history, params)
-    return aggregate_of(k, *history._windows[params], params)
+    """G from capital and a window (its (h, W) from ``_windows``): G(0) for Lambda and k0*."""
+    return aggregate_of(k, *_windows(history, params), params)
 
 
 def inner_component(past_c: HistoryGrid, params: ModelParams) -> np.ndarray:
@@ -130,7 +126,7 @@ def G_value(state: StateSample, params: ModelParams, mismatch_tol: float = G_MIS
     the reduced form.
     """
     der = validate(params)
-    reduced = aggregate_of(state.k, *state.window_functionals(params), params)
+    reduced = aggregate_of(state.k, *_windows(state.past_c, params), params)
     second_reduced = der.kappa0 * state.k - reduced
 
     second_direct = exp_integral(inner_component(state.past_c, params), params.r, state.past_c.dt)
@@ -164,7 +160,7 @@ def _assemble(state: StateSample, params: ModelParams) -> tuple[dict[str, float]
     G = G_value(state, params)
     if G <= 0.0:
         raise DomainError(f"state outside the value region: G = {G:.6g} <= 0", code="domain:G")
-    h = state.window_functionals(params)[0]
+    h = _windows(state.past_c, params)[0]
     v = der.nu * G ** (1.0 - gamma)
     bstar_dv = -(1.0 - gamma) * der.nu * G ** (-gamma)
     drift_pairing = -bstar_dv * (h + params.r * G)

@@ -317,7 +317,6 @@ class DominanceCertificate:
 def dominance_certificate(
     params: ModelParams,
     margin: float = 0.1,
-    points: int = 4096,
     lambda0: float | None = None,
 ) -> DominanceCertificate:
     """Certify that lambda0 is the only characteristic root with Re >= lambda0 - margin
@@ -342,7 +341,7 @@ def dominance_certificate(
     expected = 1
     if re_lo < -params.eta < re_hi:
         expected = 2
-    winding = count_zeros(params, re_lo, re_hi, im_half, points)
+    winding = count_zeros(params, re_lo, re_hi, im_half)
     return DominanceCertificate(
         verified=(winding == expected),
         winding=winding,

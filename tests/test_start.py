@@ -1,6 +1,7 @@
 """A path's start is computed once per integrator call, from one run-grid state per run."""
 
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -64,3 +65,14 @@ def test_aggregate_keeps_the_windows_of_a_history(monkeypatch, params, history):
     assert len(windows) == 1
     for k0, Lam in zip((5.0, 10.0, 20.0), lams):
         assert Lam == lambda_constant(params, InitialState(k0, HistoryGrid(history.tau, history.values)))
+
+
+def test_k0_rows_share_the_window_of_the_hjb_grid(monkeypatch):
+    # the hjb section evaluates v(x0) on the history resampled to 1000 nodes,
+    # which the history keeps, so runs that change only k0 share its (h, W)
+    scn = load_scenario(REPO / "scenarios" / "baseline.yaml")
+    windows = count_calls(monkeypatch, hjb._window_functionals)
+    for k0 in (5.0, 10.0, 20.0):
+        row = replace(scn, initial=replace(scn.initial, k0=k0))
+        assert run_pipeline(row, run_oracle=False).status == "ok"
+    assert sum(history.n == 1000 for history, _ in windows) == 1
