@@ -498,12 +498,21 @@ def _oracle_section(scn: Scenario, checks: list, v_predicted: float) -> dict:
     num = scn.numerics
     T = scn.oracle_horizon
     m = num.oracle_m
+    head = {"v_predicted": v_predicted, "T": T, "m": m, "seed": num.seed}
+
+    def unjudged(section, stage, why, owned=("value_match", "perturbation", "ascent")):
+        """A case the oracle cannot judge: ``<stage>_error`` says why, and the checks the stage owns fail at inf."""
+        section[f"{stage}_error"] = str(why)
+        checks.extend(Check(c, math.inf, num.tol(c), False) for c in owned)
+        return section
+
+    if not (math.isfinite(v_predicted) and v_predicted != 0.0):  # no gap relative to it is defined
+        return unjudged({}, "value", f"v = {v_predicted} is not a finite nonzero double") | head
     prob = oracle.DiscreteProblem(scn.params, scn.initial, T, m)
     try:
         traj = simulate.simulate_integral_form(scn.params, prob.init, T)
     except ConstraintError as exc:  # the closed loop breaks the constraints of the oracle's grid
-        checks.extend(Check(c, math.inf, num.tol(c), False) for c in ("value_match", "perturbation", "ascent"))
-        return {"closed_loop_error": str(exc), "v_predicted": v_predicted, "T": T, "m": m, "seed": num.seed}
+        return unjudged({}, "closed_loop", exc) | head
     J_cl = oracle.evaluate_objective(prob, traj.c)
     match = abs(J_cl - v_predicted) / abs(v_predicted)
     checks.extend(_bounded(num, value_match=match))
@@ -518,18 +527,15 @@ def _oracle_section(scn: Scenario, checks: list, v_predicted: float) -> dict:
         section["perturbation_trials"] = rep.trials
         checks.append(Check("perturbation", rep.max_gain, rep.tolerance, True))
     except (OptimalityViolation, InfeasibleControlError) as exc:
-        section["perturbation_error"] = str(exc)
-        checks.append(Check("perturbation", math.inf, num.tol("perturbation"), False))
+        unjudged(section, "perturbation", exc, ("perturbation",))
 
     cm = dde.minimal_consumption(scn.params, prob.init.history, T)
     start = cm.values + 0.5 * max(traj.Lambda, 0.1)
     try:
         res = oracle.projected_ascent(prob, start, iters=num.ascent_iters)
     except InfeasibleControlError as exc:
-        section["ascent_error"] = str(exc)
-        checks.append(Check("ascent", math.inf, num.tol("ascent"), False))
-        return section
-    gap = abs(res.J - J_cl) / abs(J_cl) if math.isfinite(J_cl) else math.inf
+        return unjudged(section, "ascent", exc, ("ascent",))
+    gap = abs(res.J - J_cl) / abs(J_cl) if math.isfinite(J_cl) and J_cl != 0.0 else math.inf
     section["ascent_J"] = res.J
     section["ascent_iterations"] = res.iterations
     section["ascent_projections"] = res.projections

@@ -82,8 +82,7 @@ class DerivedConstants:
     nu      value-function scale, alpha^(-gamma)/(1-gamma)
     kappa0  capital weight of the aggregate state,
             1 - eps*(1 - exp(-(r+eta)*tau))/(r+eta); positive in-regime
-    lambda0 real characteristic root of the habit delay kernel; None unless
-            a caller sets it by ``with_lambda0`` (nothing in the package does)
+    lambda0 real characteristic root of the habit delay kernel, if set by ``with_lambda0``
     """
 
     alpha: float

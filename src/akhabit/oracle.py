@@ -329,7 +329,7 @@ def gradient(problem: DiscreteProblem, controls: np.ndarray) -> np.ndarray:
     return g + d_salvage * problem.terminal_sensitivity
 
 
-def fd_gradient_naive(problem: DiscreteProblem, controls: np.ndarray, fdh: float | None = None) -> np.ndarray:
+def fd_gradient(problem: DiscreteProblem, controls: np.ndarray, fdh: float | None = None) -> np.ndarray:
     """Two-point forward differences (J(c + fdh e_i) - J(c)) / fdh, one coordinate at a time.
 
     The reference for ``gradient``: it re-evaluates J once per node, so
@@ -347,9 +347,6 @@ def fd_gradient_naive(problem: DiscreteProblem, controls: np.ndarray, fdh: float
         bumped[i] += fdh
         out[i] = (evaluate_objective(problem, bumped) - J0) / fdh
     return out
-
-
-fd_gradient = fd_gradient_naive
 
 
 # -- feasibility restoration -------------------------------------------------

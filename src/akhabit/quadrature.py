@@ -80,8 +80,7 @@ def window_integral(
 ) -> float:
     """I_beta at node t_j = j*dt for the concatenated path (hist, comp).
 
-    The per-node reference that ``window_integrals`` and
-    ``sliding_window_integrals`` are tested against; no solver calls it.
+    The per-node reference for ``window_integrals``; no solver calls it.
     ``hist`` holds n+1 samples on [-tau, 0] whose last entry is the left
     limit at 0; ``comp`` holds the computed samples on [0, T] starting with
     the right value at 0.  For j >= n the window lies inside [0, T] and is
@@ -162,28 +161,6 @@ def block_windows(
     path[0] = comp[lo]
     prev = hist if lo == 0 else comp[lo - n : lo + 1]
     return window_integrals(prev, path, kernel.beta, kernel.dt, kernel)[1:]
-
-
-def sliding_window_integrals(hist: np.ndarray, comp: np.ndarray, beta: float, dt: float):
-    """Yield ``window_integral(hist, comp, j, beta, dt)`` for j = 1..len(comp)-1
-    with comp[j] read as 0, while the caller fills comp in between.
-
-    Each value is taken after comp[:j] is final and before comp[j] is
-    written (the caller's unknown at node j enters through the endpoint
-    weight dt/2, which it adds itself); nothing at or past node j is read.
-    The solvers run the same ``block_windows`` and in-block running sum
-    inline; this generator states the contract one node at a time.
-    """
-    n = len(hist) - 1
-    steps = len(comp) - 1
-    decay = math.exp(-beta * dt)
-    kernel = window_kernel(beta, dt, n)
-    for lo in range(0, steps, n):
-        known = block_windows(hist, comp, lo, min(n, steps - lo), kernel).tolist()
-        inner = 0.0
-        for j, value in enumerate(known, lo + 1):
-            yield value + inner
-            inner = decay * (inner + dt * comp.item(j))
 
 
 #: largest |log p| * L of one ``linear_scan`` sub-block of L steps, so every

@@ -28,8 +28,8 @@ Two integrators produce the path:
 
 The two routes share only their start (``_start``, once per call: h(0),
 G(0), Lambda, the slacks) and G's formula (``hjb.aggregate_of``).  The
-lambda form's G column is still its own window quadrature of its path,
-not its ODE state.  So their agreement (``invariant_monitor``'s
+lambda form's G column is its own window quadrature of its path, not
+its ODE state.  So their agreement (``invariant_monitor``'s
 ``cross_method``) and the vanishing residual of the external-habit policy
 formula along either path are the verification target, not an assumption.
 """
@@ -255,12 +255,6 @@ def _start(params, init, n, T):
     c_tol = 1e-9 * (abs(h0) + abs(Lam) + 1.0)
     k_tol = 1e-9 * init.k0
     return der, hist, G0, Lam, degenerate, t, k, c, h, c_tol, k_tol
-
-
-def _prepare(params, init, n):
-    """(der, resampled init, history, Lambda, degenerate) of ``_start``."""
-    der, hist, _, Lam, degenerate, *_ = _start(params, init, n, init.history.tau)
-    return der, InitialState(init.k0, hist), hist, Lam, degenerate
 
 
 def _finalize(params, der, hist, Lam, degenerate, t, k, c, h, G):

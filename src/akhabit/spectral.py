@@ -32,9 +32,7 @@ so each horizontal side (Y = -+Q) costs one real exp of its abscissae
 times a scalar phase, and the two vertical sides (X fixed) share one
 cos/sin of their ordinates: the left side's are the right side's
 negated.  The winding sums the phase increments arctan2 of
-v_{j+1} conj(v_j) of consecutive samples, in place of the angles of
-the ratios v_{j+1}/v_j of complex exponentials; the sample points are
-the same.
+v_{j+1} conj(v_j) of consecutive samples.
 """
 
 from __future__ import annotations

@@ -24,10 +24,10 @@ from akhabit import oracle
 from akhabit.oracle import (
     ObjectiveParts,
     fd_gradient,
-    fd_gradient_naive,
     gradient,
     project_feasible,
 )
+from reference import fd_gradient_naive
 
 
 @pytest.fixture(scope="module")

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from akhabit.quadrature import linear_scan, sliding_window_integrals, window_integral, window_integrals
+from akhabit.quadrature import linear_scan, window_integral, window_integrals
+from reference import sliding_window_integrals
 
 
 class TestWindowIntegrals:

@@ -27,12 +27,12 @@ from akhabit.cli import load_scenario
 from akhabit.hjb import aggregate, habit_weight
 from akhabit.quadrature import exp_weights, steps_for, trap_dot, window_integral
 from akhabit.simulate import (
-    _prepare,
     _rk4_linear_coeffs,
     _rk4_maps,
     simulate_integral_form,
     simulate_lambda_form,
 )
+from reference import _prepare
 
 BASELINE = ModelParams(eps=0.5, eta=1.0, tau=1.0, A=0.3, delta=0.05, rho=0.04, gamma=2.0)
 # eta*tau = 40: the window weights span 17 decades and c_m decays like e^(-38 t)
