@@ -38,6 +38,8 @@ instance; nothing is cached at module level.
 from __future__ import annotations
 
 import math
+import operator
+import random
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -421,7 +423,7 @@ def perturbation_test(
     problem: DiscreteProblem,
     base_controls: np.ndarray,
     trials: int = 100,
-    seed: int = 42,
+    seed: int | None = 42,
     tol: float = 1e-6,
 ) -> PerturbationReport:
     """Throw smooth bumps and node spikes at the base control; none may win.
@@ -430,8 +432,19 @@ def perturbation_test(
     habit constraint keeps a margin, and every candidate is re-projected
     onto feasibility before scoring.  Raises OptimalityViolation if any
     candidate beats the base by more than tol*|J_base|.
+
+    The draws come from the call's own ``random.Random(seed)``, and each
+    is derived from ``Random.random()`` (``uniform`` is documented as
+    ``a + (b - a) * random()``), whose sequence for a given seed Python
+    keeps across versions.  ``seed`` is a non-negative integer, or None
+    for fresh entropy; a negative seed raises ValueError and any other
+    type TypeError, where ``Random`` would fold or hash them.
     """
-    rng = np.random.default_rng(seed)
+    if seed is not None:
+        seed = operator.index(seed)
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
+    rng = random.Random(seed)
     base_controls = np.asarray(base_controls, dtype=float)
     base = objective_breakdown(problem, base_controls)
     if not math.isfinite(base.J):
@@ -445,16 +458,16 @@ def perturbation_test(
     max_gain = -math.inf
     improving = 0
     for _ in range(trials):
-        amp = float(rng.uniform(0.05, 0.4)) * scale * float(rng.choice((-1.0, 1.0)))
-        if rng.uniform() < 0.7:
-            width = float(rng.uniform(0.5, 2.0)) * tau
-            start = float(rng.uniform(0.0, max(T - width, 1e-9)))
+        amp = rng.uniform(0.05, 0.4) * scale * (-1.0 if rng.random() < 0.5 else 1.0)
+        if rng.random() < 0.7:
+            width = rng.uniform(0.5, 2.0) * tau
+            start = rng.uniform(0.0, max(T - width, 1e-9))
             bump = np.zeros_like(t)
             inside = (t >= start) & (t <= start + width)
             bump[inside] = np.sin(math.pi * (t[inside] - start) / width) ** 2
         else:
             bump = np.zeros_like(t)
-            bump[rng.integers(0, problem.m + 1)] = 1.0
+            bump[int(rng.random() * (problem.m + 1))] = 1.0
         for _try in range(21):  # the amplitude, then up to 20 halvings of it
             J = evaluate_objective(problem, project_feasible(problem, base_controls + amp * bump))
             if math.isfinite(J):

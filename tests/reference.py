@@ -11,14 +11,67 @@ import math
 
 import numpy as np
 
+from akhabit.hjb import habit_weight
 from akhabit.model import InitialState
-from akhabit.oracle import fd_gradient
 from akhabit.quadrature import block_windows, window_kernel
 from akhabit.simulate import _start
 
-#: the oracle's one finite-difference reference, under the name that
-#: ``test_oracle.py`` compares against
-fd_gradient_naive = fd_gradient
+
+def _trapezoid(f, lo: int, hi: int, dt: float) -> float:
+    """Trapezoid of f over the grid nodes lo..hi, ends halved; 0 when lo == hi."""
+    if hi == lo:
+        return 0.0
+    return dt * (0.5 * f(lo) + sum(f(j) for j in range(lo + 1, hi)) + 0.5 * f(hi))
+
+
+def objective_naive(problem, controls) -> float:
+    """The oracle's discrete J(c) for a feasible control, one node at a time.
+
+    Node j sits at t_j = j dt; the history holds nodes -n_tau..0 and the
+    controls nodes 0..m.  The habit at node i is the history's window on
+    [t_i - tau, 0] plus the controls' on [max(0, t_i - tau), t_i], each a
+    trapezoid with halved ends; the capital is the trapezoid of the
+    discounted controls; the salvage is taken at
+    G_T = kappa0 k_T - h_T / (r + eta) + q W_T.
+    """
+    p, der = problem.params, problem.derived
+    m, n_tau, dt = problem.m, problem.n_tau, problem.dt
+    r, gamma = p.r, p.gamma
+    hist = problem.init.history.values.tolist()
+    c = [float(x) for x in controls]
+
+    def habit(i):
+        def weight(j):
+            return p.eps * math.exp(-p.eta * (i - j) * dt)
+
+        past = _trapezoid(lambda j: weight(j) * hist[j + n_tau], min(i - n_tau, 0), 0, dt)
+        return past + _trapezoid(lambda j: weight(j) * c[j], max(0, i - n_tau), i, dt)
+
+    h = [habit(i) for i in range(m + 1)]
+    running = _trapezoid(
+        lambda j: math.exp(-p.rho * j * dt) * (c[j] - h[j]) ** (1.0 - gamma) / (1.0 - gamma), 0, m, dt
+    )
+    T = m * dt
+    k_T = math.exp(r * T) * (problem.init.k0 - _trapezoid(lambda j: math.exp(-r * j * dt) * c[j], 0, m, dt))
+    W_T = _trapezoid(lambda j: math.exp(r * (T - j * dt)) * c[j], m - n_tau, m, dt)
+    G_T = der.kappa0 * k_T - h[m] / (r + p.eta) + habit_weight(p) * W_T
+    return running + math.exp(-p.rho * T) * der.nu * G_T ** (1.0 - gamma)
+
+
+def fd_gradient_naive(problem, controls, fdh: float) -> np.ndarray:
+    """Forward differences of ``objective_naive``, one coordinate at a time.
+
+    The reference for ``oracle.fd_gradient``: the same differences, of an
+    objective that shares no array or kernel with ``DiscreteProblem``.
+    """
+    controls = np.asarray(controls, dtype=float)
+    J0 = objective_naive(problem, controls)
+    out = np.empty(problem.m + 1)
+    for i in range(problem.m + 1):
+        bumped = controls.copy()
+        bumped[i] += fdh
+        out[i] = (objective_naive(problem, bumped) - J0) / fdh
+    return out
 
 
 def sliding_window_integrals(hist: np.ndarray, comp: np.ndarray, beta: float, dt: float):
