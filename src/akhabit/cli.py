@@ -207,7 +207,7 @@ _BINARY_OPS = {
 
 
 def _eval_history_expr(expr: str, u: np.ndarray) -> np.ndarray:
-    """Evaluate a restricted arithmetic expression of u (exp/sin/cos/sqrt allowed)."""
+    """Evaluate a restricted arithmetic expression of u (exp/sin/cos/sqrt/abs allowed)."""
 
     def ev(node):
         if isinstance(node, ast.Expression):
@@ -380,10 +380,6 @@ class KernelResults:
     cm: dde.SampledPath
 
 
-class _Rejected(Exception):
-    """A stage's rejection of the scenario; its arguments are the code and the closed_loop section."""
-
-
 def run_pipeline(scn: Scenario, run_oracle: bool = True, kernel: KernelResults | None = None) -> RunReport:
     """The full verification pipeline on an in-memory scenario.
 
@@ -395,13 +391,12 @@ def run_pipeline(scn: Scenario, run_oracle: bool = True, kernel: KernelResults |
     the paths.
     """
     report = RunReport(status="ok", code="")
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            _stages(report, scn, run_oracle and scn.numerics.oracle, kernel)
-    except _Rejected as exc:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rejection = _stages(report, scn, run_oracle and scn.numerics.oracle, kernel)
+    if rejection is not None:
         report.status = "reject"
-        report.code, report.closed_loop = exc.args
+        report.code, report.closed_loop = rejection
         return report
     failed = [c.name for c in report.checks if not c.passed]
     if failed:
@@ -409,15 +404,15 @@ def run_pipeline(scn: Scenario, run_oracle: bool = True, kernel: KernelResults |
     return report
 
 
-def _stages(report: RunReport, scn: Scenario, run_oracle: bool, kernel) -> None:
+def _stages(report: RunReport, scn: Scenario, run_oracle: bool, kernel) -> tuple[str, dict] | None:
     """Fill ``report`` in one straight line: spectral, feasibility, Lambda gate, hjb,
-    both integrators, path monitors, oracle; a rejection raises _Rejected."""
+    both integrators, path monitors, oracle; a rejection returns (code, closed_loop)."""
     checks = report.checks
     num = scn.numerics
     try:
         der = validate(scn.params)
     except AkHabitError as exc:
-        raise _Rejected(exc.code, {"error": str(exc)}) from exc
+        return exc.code, {"error": str(exc)}
 
     report.spectral = spec = dict(kernel.spectral) if kernel else _spectral_section(scn)
     checks.extend(_bounded(num, spectral_residual=abs(spec["residual"])))
@@ -430,12 +425,12 @@ def _stages(report: RunReport, scn: Scenario, run_oracle: bool, kernel) -> None:
     report.feasibility = _feasibility_section(feas, scn.initial.k0)
     report.feasibility_data = feas
     if not feas.feasible:
-        raise _Rejected(InfeasibleError.code, {})
+        return InfeasibleError.code, {}
 
     Lam = simulate.lambda_constant(scn.params, init)
     if Lam <= 0.0 or simulate.lambda_on_boundary(Lam, scn.initial.k0):
         threshold = simulate.initial_capital_threshold(scn.params, init.history)
-        raise _Rejected("lambda:nonpositive", {"Lambda": Lam, "k0_threshold": threshold})
+        return "lambda:nonpositive", {"Lambda": Lam, "k0_threshold": threshold}
 
     # the run's one v(x0), which the oracle also reads; a single state is cheap,
     # so G_value's dual-quadrature cross-check gets a fine window whatever the grid
@@ -446,7 +441,7 @@ def _stages(report: RunReport, scn: Scenario, run_oracle: bool, kernel) -> None:
         traj = simulate.simulate_integral_form(scn.params, init, scn.horizon)
         traj_l = simulate.simulate_lambda_form(scn.params, init, scn.horizon)
     except ConstraintError as exc:
-        raise _Rejected(exc.code, {"error": str(exc)}) from exc
+        return exc.code, {"error": str(exc)}
 
     report.closed_loop = {
         "Lambda": traj.Lambda,
@@ -492,6 +487,7 @@ def _stages(report: RunReport, scn: Scenario, run_oracle: bool, kernel) -> None:
         report.oracle = {"skipped": "disabled by flag or scenario"}
 
     report.trajectory, report.monitor = traj, mon
+    return None
 
 
 def _oracle_section(scn: Scenario, checks: list, v_predicted: float) -> dict:

@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 import operator
 import random
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -136,10 +137,9 @@ class DiscreteProblem:
         vH = np.zeros(m + 1)
         vC = np.zeros(m + 1)
         vC[0] = 0.5 * self.kbase[n_tau]
-        if n_tau >= 2:
-            mid = np.arange(1, n_tau)
-            vH[mid] = 0.5 * self.kbase[n_tau - mid]
-            vC[mid] = vH[mid]
+        mid = np.arange(1, n_tau)
+        vH[mid] = 0.5 * self.kbase[n_tau - mid]
+        vC[mid] = vH[mid]
         vH[n_tau] = 0.5 * self.kbase[0]
         self._vH = vH
         self._vC = vC
@@ -275,10 +275,8 @@ def _score(problem: DiscreteProblem, controls: np.ndarray, h: np.ndarray) -> Obj
     feasible = bool(
         np.all(controls >= -tol) and np.all(excess >= -tol) and np.all(k >= -tol * problem.init.k0)
     )
-    if not feasible:
-        return ObjectiveParts(-math.inf, -math.inf, 0.0, False, excess, h, k)
     exc = np.maximum(excess, 0.0)
-    if gamma > 1.0 and np.any(exc == 0.0):
+    if not feasible or (gamma > 1.0 and np.any(exc == 0.0)):
         return ObjectiveParts(-math.inf, -math.inf, 0.0, False, excess, h, k)
     u = problem.disc_rho * _u(exc, gamma)
     running = problem.dt * float(u @ problem.wt)
@@ -459,14 +457,13 @@ def perturbation_test(
     improving = 0
     for _ in range(trials):
         amp = rng.uniform(0.05, 0.4) * scale * (-1.0 if rng.random() < 0.5 else 1.0)
+        bump = np.zeros_like(t)
         if rng.random() < 0.7:
             width = rng.uniform(0.5, 2.0) * tau
             start = rng.uniform(0.0, max(T - width, 1e-9))
-            bump = np.zeros_like(t)
             inside = (t >= start) & (t <= start + width)
             bump[inside] = np.sin(math.pi * (t[inside] - start) / width) ** 2
         else:
-            bump = np.zeros_like(t)
             bump[int(rng.random() * (problem.m + 1))] = 1.0
         for _try in range(21):  # the amplitude, then up to 20 halvings of it
             J = evaluate_objective(problem, project_feasible(problem, base_controls + amp * bump))
@@ -533,7 +530,7 @@ def projected_ascent(
     g = gradient(problem, c)
     step = 1.0 / max(float(np.max(np.abs(g / precond))), 1e-12)
     best_c, best_J = c.copy(), J
-    recent = [J]
+    recent = deque([J], maxlen=10)
     stall = 0
     it = 0
     for it in range(1, iters + 1):
@@ -559,8 +556,6 @@ def projected_ascent(
         step = sps / sy if sy > 1e-300 else step * 2.0
         c, J, g = cand, J_cand, g_new
         recent.append(J)
-        if len(recent) > 10:
-            recent.pop(0)
         if J > best_J:
             gain = J - best_J
             best_c, best_J = c.copy(), J

@@ -260,9 +260,8 @@ def _start(params, init, n, T):
 def _finalize(params, der, hist, Lam, degenerate, t, k, c, h, G):
     c_minus_h = c - h
     if Lam > 0.0:
-        lam_check = np.abs(c_minus_h - Lam * np.exp(der.Gamma * t)) / (
-            Lam * (np.exp(der.Gamma * t) + RESIDUAL_FLOOR)
-        )
+        growth = np.exp(der.Gamma * t)
+        lam_check = np.abs(c_minus_h - Lam * growth) / (Lam * (growth + RESIDUAL_FLOOR))
     else:
         lam_check = np.abs(c_minus_h)
     return Trajectory(
@@ -312,7 +311,9 @@ def simulate_integral_form(
     W_kernel = window_kernel(-r, dt, n)
     a_rk, b_rk, d_rk = _rk4_linear_coeffs(r, dt)
 
-    self_weight = (params.eps * dt / 2.0) * (1.0 - alpha / b) + alpha * kappa0 * d_rk + alpha * q * (dt / 2.0)
+    h_gain, k_gain, W_gain = 1.0 - alpha / b, alpha * kappa0, alpha * q
+    half_eps_dt = params.eps * dt / 2.0
+    self_weight = half_eps_dt * h_gain + k_gain * d_rk + W_gain * (dt / 2.0)
     if self_weight >= 1.0:
         raise CoarseGridError(f"implicit weight {self_weight:.3g} >= 1 at n={n}; raise n")
 
@@ -321,9 +322,7 @@ def simulate_integral_form(
     W_known = np.empty_like(k)
     c[0] = h[0] + alpha * G0
     eps = params.eps
-    h_gain, k_gain, W_gain = 1.0 - alpha / b, alpha * kappa0, alpha * q
     implicit = 1.0 - self_weight
-    half_eps_dt = eps * dt / 2.0
     h_decay, W_decay = math.exp(-params.eta * dt), math.exp(r * dt)
     k_prev, c_prev = float(k[0]), float(c[0])
     for lo in range(0, steps, n):
@@ -480,12 +479,11 @@ def invariant_monitor(
     passes the integral form when it monitors the lambda form).
     """
     G_ref = traj.G[0] * np.exp(traj.Gamma * traj.t)
+    g_drift = np.abs(traj.G - G_ref)
     if traj.G[0] > 0.0:
-        g_drift = np.abs(traj.G - G_ref) / G_ref
-    else:
-        g_drift = np.abs(traj.G - G_ref)
+        g_drift /= G_ref
     if cm is None:
-        cm = dde.minimal_consumption(params, traj.history, float(traj.t[-1]), n=traj.history.n)
+        cm = dde.minimal_consumption(params, traj.history, float(traj.t[-1]))
     margin = traj.c - cm.values[: len(traj.c)]
     r = params.r
     disc = cumulative_trapezoid(np.exp(-r * traj.t) * traj.c, traj.dt)

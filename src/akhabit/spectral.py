@@ -31,8 +31,8 @@ lam + eta = X + iY,
 so each horizontal side (Y = -+Q) costs one real exp of its abscissae
 times a scalar phase, and the two vertical sides (X fixed) share one
 cos/sin of their ordinates: the left side's are the right side's
-negated.  The winding sums the phase increments arctan2 of
-v_{j+1} conj(v_j) of consecutive samples.
+negated.  The winding sums the wrapped differences of consecutive
+samples' phases arctan2(Im a, Re a), so every finite sample has a phase.
 """
 
 from __future__ import annotations
@@ -60,10 +60,6 @@ ROOT_TOL = 1e-12
 #: tolerance for classifying phi(0) as zero / matching the tag against lambda0
 REGIME_TOL = 1e-10
 TAG_MATCH_TOL = 1e-9
-
-#: contour values beyond this are rescaled before the phase products,
-#: whose magnitude is the square of theirs
-BIG_VALUE = 1e150
 
 
 class RootRegime(Enum):
@@ -116,7 +112,6 @@ def real_root(params: ModelParams) -> float:
     else:
         raise BracketError("no sign change found while doubling the bracket downward")
 
-    f_hi = phi(hi, params)
     for _ in range(300):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:  # bracket at floating-point resolution
@@ -125,14 +120,14 @@ def real_root(params: ModelParams) -> float:
         if f_mid == 0.0:
             return mid
         if f_mid > 0.0:
-            hi, f_hi = mid, f_mid
+            hi = mid
         else:
             lo = mid
         if hi - lo < ROOT_TOL and abs(f_mid) < ROOT_TOL:
             break
-    root = 0.5 * (lo + hi)
-    # the right bracket end started strictly positive, so root < eps - eta
-    return min(root, hi if f_hi > 0.0 else root)
+    # hi only moves to points where phi > 0, and the rounded midpoint of
+    # lo < hi never exceeds hi, so the root stays below eps - eta
+    return 0.5 * (lo + hi)
 
 
 def regime(params: ModelParams, lambda0: float | None = None) -> RootRegime:
@@ -261,39 +256,32 @@ def count_zeros(
 ) -> int:
     """Zeros of a(lam) inside [re_lo, re_hi] x [-im_half, im_half] i.
 
-    Argument-principle winding of the boundary image, computed from the
-    accumulated phase increments arg(v_{j+1} conj(v_j)) of consecutive
-    samples (``_contour_values``).  The discretization is doubled up to
-    three times if the winding fails to be integral within 1e-3.
+    Argument-principle winding of the boundary image (``_contour_values``):
+    the sum of consecutive samples' phase differences, each wrapped to
+    [-pi, pi], over 2 pi.  The discretization is doubled up to three times
+    if a sample is not finite or exactly zero, or the winding is not
+    integral within 1e-3.
     """
-    # |a| <= |lam + eta| + eps + eps*exp(-(lam + eta)*tau) bounds the samples
-    reach = max(abs(re_lo + params.eta), abs(re_hi + params.eta)) + im_half + params.eps
-    growth = min(-(min(re_lo, re_hi) + params.eta) * params.tau, 700.0)
-    rescale = reach + params.eps * math.exp(growth) > BIG_VALUE
-    winding = math.nan  # stays nan if every attempt hits an exact zero
+    winding = math.nan  # stays nan if every attempt has an unusable sample
     for attempt in range(4):
         n = points * 2**attempt
         side = np.linspace(0.0, 1.0, n, endpoint=False)
         buf = np.empty((5, 4 * n + 1))
         _contour_values(params, re_lo, re_hi, im_half, side, buf)
+        if not np.isfinite(buf[:2]).all():
+            continue  # a sample overflowed
         re, im = buf[0], buf[1]
         zero = re == 0.0
         if zero.any() and (im[zero] == 0.0).any():
             continue  # a zero sits on a sample point; refine
-        if rescale:
-            # the products below would overflow; a positive scale per
-            # sample leaves every phase increment unchanged
-            buf[:2] /= np.maximum(np.abs(re), np.abs(im))
-        real, imag, tmp = buf[2, :-1], buf[3, :-1], buf[4, :-1]
-        np.multiply(re[1:], re[:-1], out=real)
-        np.multiply(im[1:], im[:-1], out=tmp)
-        real += tmp
-        np.multiply(im[1:], re[:-1], out=imag)
-        np.multiply(re[1:], im[:-1], out=tmp)
-        imag -= tmp
-        winding = float(np.arctan2(imag, real, out=tmp).sum() / (2.0 * math.pi))
-        # a sample that overflowed makes the winding nan: not integral
-        if math.isfinite(winding) and abs(winding - round(winding)) < 1e-3:
+        phase = np.arctan2(im, re, out=buf[2])
+        step, turns = buf[3, :-1], buf[4, :-1]
+        np.subtract(phase[1:], phase[:-1], out=step)
+        np.rint(np.divide(step, 2.0 * math.pi, out=turns), out=turns)
+        turns *= 2.0 * math.pi
+        step -= turns
+        winding = float(step.sum() / (2.0 * math.pi))
+        if abs(winding - round(winding)) < 1e-3:
             return int(round(winding))
     raise ContourError(
         f"winding number {winding:.6f} not integral after refinement "
