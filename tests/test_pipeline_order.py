@@ -89,3 +89,16 @@ def test_monitor_cross_method_is_the_inline_expression(name, n):
         if f.name != "cross_method":
             assert np.array_equal(getattr(compared, f.name), getattr(alone, f.name)), f.name
 
+
+@pytest.mark.parametrize("name", ["baseline", "low_curvature"])
+def test_run_pipeline_writes_no_csv_text(monkeypatch, name):
+    # the CSV encoder belongs to write_outputs, outside run_pipeline (and
+    # outside the run_pipeline span that perfbench traces)
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_pipeline wrote CSV text")
+
+    monkeypatch.setattr(simulate, "encode_rows", refuse)
+    monkeypatch.setattr(simulate, "write_csv", refuse)
+    report = run_pipeline(load_scenario(REPO / "scenarios" / f"{name}.yaml"), run_oracle=False)
+    assert (report.status, report.code) == ("ok", "")
+    assert report.trajectory is not None
