@@ -33,6 +33,16 @@ habit again.  A hit means the very same float64 values (0.0 and -0.0
 differ, and a control mutated in place no longer matches), so it is
 bitwise what a fresh evaluation gives.  The entry lives on the problem
 instance; nothing is cached at module level.
+
+A perturbation trial's bump spans at most 2 tau of the grid, so
+for the length of its trial loop ``perturbation_test`` sets an anchor on
+the problem: the clipped base control and its habit.  A control that
+differs from the anchor only from node 1 on copies the anchor's habit and
+correlates again just the outputs its change reaches (see
+``DiscreteProblem._correlate``).  Each of those outputs is the same dot
+product over the same values as in a full correlation, so the habit, and
+every score built on it, is bitwise what it would be without the anchor.
+The ascent sets no anchor.
 """
 
 from __future__ import annotations
@@ -108,6 +118,10 @@ class DiscreteProblem:
     ``objective_breakdown`` has scored it) its ``ObjectiveParts``.
     ``habit`` and ``objective_breakdown`` look there first.  Their arrays
     are read-only, so a caller cannot alter what a later hit returns.
+
+    ``_anchor`` is None, or a (control, habit) pair that ``_correlate``
+    splices from; only ``perturbation_test`` sets it, and it clears it
+    when its trial loop ends.
     """
 
     def __init__(self, params: ModelParams, init: InitialState, T: float, m: int):
@@ -134,6 +148,7 @@ class DiscreteProblem:
         # split-window corrections at the history/control boundary
         hv = self.init.history.values
         self.hist_end = float(hv[-1])
+        self.hist_absmax = float(np.max(np.abs(hv)))
         vH = np.zeros(m + 1)
         vC = np.zeros(m + 1)
         vC[0] = 0.5 * self.kbase[n_tau]
@@ -159,6 +174,7 @@ class DiscreteProblem:
         self.q = habit_weight(params)
         self.b = r + params.eta
         self._last: _Forward | None = None
+        self._anchor: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- constant pieces of the gradients ------------------------------------
 
@@ -217,15 +233,46 @@ class DiscreteProblem:
         The history's left limit and the control's start share the t = 0
         slot; the correction vectors restore the half-weights both
         one-sided values carry in windows that straddle the jump.
+
+        With an anchor set, the nodes whose bits differ from the anchor
+        control are found as integers, so -0.0 and NaN payloads count as
+        changes.  If the first, lo, is past node 0, the anchor's habit is
+        copied and only outputs lo .. min(hi + n_tau, m) are recomputed, hi
+        being the last changed node: the same correlation over the matching
+        slice of the concatenated path (the history's tail and the shared
+        t = 0 slot included when lo <= n_tau), then the same corrections.
+        A change at node 0 moves the t = 0 slot and every correction, so it
+        correlates in full, as does the anchor control itself.
         """
         hv = self.init.history.values
+        if self._anchor is not None:
+            anchor, anchor_h = self._anchor
+            changed = np.flatnonzero(controls.view(np.int64) != anchor.view(np.int64))
+            if changed.size and changed[0] > 0:
+                lo = int(changed[0])
+                n_tau = self.n_tau
+                top = min(int(changed[-1]) + n_tau, self.m) + 1
+                if lo <= n_tau:
+                    cc = np.concatenate([hv[lo:-1], [self.hist_end + controls[0]], controls[1:top]])
+                else:
+                    cc = controls[lo - n_tau : top]
+                h = anchor_h.copy()
+                h[lo:top] = (
+                    np.correlate(cc, self.kerw, mode="valid")
+                    - self._vH[lo:top] * self.hist_end
+                    - self._vC[lo:top] * controls[0]
+                )
+                return h
         cc = np.concatenate([hv[:-1], [self.hist_end + controls[0]], controls[1:]])
         h = np.correlate(cc, self.kerw, mode="valid")
         return h - self._vH * self.hist_end - self._vC * controls[0]
 
     def capital(self, controls: np.ndarray) -> np.ndarray:
         """k(t) = e^{rt} (k0 - integral of e^{-ru} c(u) du), cumulative trapezoid."""
-        return self.grow_r * (self.init.k0 - cumulative_trapezoid(self.disc_r * controls, self.dt))
+        k = cumulative_trapezoid(self.disc_r * controls, self.dt)
+        np.subtract(self.init.k0, k, out=k)
+        k *= self.grow_r
+        return k
 
     def terminal_aggregate(self, controls: np.ndarray, k_T: float, h_T: float) -> float:
         W_T = float(self.wker @ controls[self.m - self.n_tau :])
@@ -270,15 +317,16 @@ def _score(problem: DiscreteProblem, controls: np.ndarray, h: np.ndarray) -> Obj
     k = problem.capital(controls)
     excess = controls - h
     _read_only(k, excess)
-    scale = max(1.0, float(np.max(np.abs(controls))))
-    tol = FEAS_TOL * scale
-    feasible = bool(
-        np.all(controls >= -tol) and np.all(excess >= -tol) and np.all(k >= -tol * problem.init.k0)
-    )
-    exc = np.maximum(excess, 0.0)
-    if not feasible or (gamma > 1.0 and np.any(exc == 0.0)):
+    # a NaN makes every reduction NaN: scale 1, every comparison False
+    c_min = float(controls.min())
+    e_min = float(excess.min())
+    tol = FEAS_TOL * max(1.0, float(controls.max()), -c_min)
+    feasible = c_min >= -tol and e_min >= -tol and float(k.min()) >= -tol * problem.init.k0
+    # some clipped excess is 0 exactly when the smallest excess is <= 0
+    if not feasible or (gamma > 1.0 and e_min <= 0.0):
         return ObjectiveParts(-math.inf, -math.inf, 0.0, False, excess, h, k)
-    u = problem.disc_rho * _u(exc, gamma)
+    u = _u(np.maximum(excess, 0.0), gamma)
+    u *= problem.disc_rho
     running = problem.dt * float(u @ problem.wt)
     G_T = problem.terminal_aggregate(controls, float(k[-1]), float(h[-1]))
     salv = problem.salvage(G_T)
@@ -374,10 +422,13 @@ def project_feasible(problem: DiscreteProblem, controls: np.ndarray) -> np.ndarr
     # both routes sum n_tau + 3 terms whose magnitudes add up to at most
     # about scale (eps <= eta keeps the kernel mass below 1), so each is
     # within (n_tau + 3) * eps * scale of the exact habit
-    scale = max(1.0, float(np.max(c)), float(np.max(np.abs(hv))))
+    scale = max(1.0, float(c.max()), problem.hist_absmax)
     margin = max(1e-12, 16 * (n_tau + 3) * np.finfo(float).eps) * scale
-    tight = np.flatnonzero(c - problem.habit(c) <= margin)
-    if tight.size == 0:
+    slack = c - problem.habit(c)
+    if float(slack.min()) > margin:
+        return c
+    tight = np.flatnonzero(slack <= margin)
+    if tight.size == 0:  # only NaN slacks are not above the margin
         return c
     start = int(tight[0])
 
@@ -455,26 +506,34 @@ def perturbation_test(
 
     max_gain = -math.inf
     improving = 0
-    for _ in range(trials):
-        amp = rng.uniform(0.05, 0.4) * scale * (-1.0 if rng.random() < 0.5 else 1.0)
-        bump = np.zeros_like(t)
-        if rng.random() < 0.7:
-            width = rng.uniform(0.5, 2.0) * tau
-            start = rng.uniform(0.0, max(T - width, 1e-9))
-            inside = (t >= start) & (t <= start + width)
-            bump[inside] = np.sin(math.pi * (t[inside] - start) / width) ** 2
-        else:
-            bump[int(rng.random() * (problem.m + 1))] = 1.0
-        for _try in range(21):  # the amplitude, then up to 20 halvings of it
-            J = evaluate_objective(problem, project_feasible(problem, base_controls + amp * bump))
-            if math.isfinite(J):
-                break
-            amp *= 0.5
-        gain = J - base.J
-        if gain > max_gain:
-            max_gain = gain
-        if gain > tol * abs(base.J):
-            improving += 1
+    # every candidate is projected, so its habit splices from the clipped base's
+    anchor = np.maximum(base_controls, 0.0)
+    problem._anchor = (anchor, problem.habit(anchor))
+    try:
+        for _ in range(trials):
+            amp = rng.uniform(0.05, 0.4) * scale * (-1.0 if rng.random() < 0.5 else 1.0)
+            bump = np.zeros_like(t)
+            if rng.random() < 0.7:
+                width = rng.uniform(0.5, 2.0) * tau
+                start = rng.uniform(0.0, max(T - width, 1e-9))
+                # the nodes with start <= t <= start + width
+                lo = int(np.searchsorted(t, start, "left"))
+                hi = int(np.searchsorted(t, start + width, "right"))
+                bump[lo:hi] = np.sin(math.pi * (t[lo:hi] - start) / width) ** 2
+            else:
+                bump[int(rng.random() * (problem.m + 1))] = 1.0
+            for _try in range(21):  # the amplitude, then up to 20 halvings of it
+                J = evaluate_objective(problem, project_feasible(problem, base_controls + amp * bump))
+                if math.isfinite(J):
+                    break
+                amp *= 0.5
+            gain = J - base.J
+            if gain > max_gain:
+                max_gain = gain
+            if gain > tol * abs(base.J):
+                improving += 1
+    finally:
+        problem._anchor = None
 
     report = PerturbationReport(
         trials=trials,
