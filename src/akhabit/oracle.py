@@ -38,11 +38,10 @@ A perturbation trial's bump spans at most 2 tau of the grid, so
 for the length of its trial loop ``perturbation_test`` sets an anchor on
 the problem: the clipped base control and its habit.  A control that
 differs from the anchor only from node 1 on copies the anchor's habit and
-correlates again just the outputs its change reaches (see
-``DiscreteProblem._correlate``).  Each of those outputs is the same dot
-product over the same values as in a full correlation, so the habit, and
-every score built on it, is bitwise what it would be without the anchor.
-The ascent sets no anchor.
+correlates again, on the one path of a full habit, just the outputs its
+change reaches (``DiscreteProblem._correlate``).  Each is the same dot
+product over the same values, so the habit, and every score built on it,
+is bitwise what it would be without the anchor.  The ascent sets no anchor.
 """
 
 from __future__ import annotations
@@ -119,8 +118,8 @@ class DiscreteProblem:
     ``habit`` and ``objective_breakdown`` look there first.  Their arrays
     are read-only, so a caller cannot alter what a later hit returns.
 
-    ``_anchor`` is None, or a (control, habit) pair that ``_correlate``
-    splices from; only ``perturbation_test`` sets it, and it clears it
+    ``_anchor`` is None, or the (control, habit) pair ``_correlate``
+    splices into; only ``perturbation_test`` sets it, and it clears it
     when its trial loop ends.
     """
 
@@ -228,44 +227,38 @@ class DiscreteProblem:
         return self._forward(np.asarray(controls, dtype=float)).habit
 
     def _correlate(self, controls: np.ndarray) -> np.ndarray:
-        """The habit from one sliding correlation against the window kernel.
+        """Habit outputs lo .. top - 1 from one sliding correlation.
 
-        The history's left limit and the control's start share the t = 0
-        slot; the correction vectors restore the half-weights both
-        one-sided values carry in windows that straddle the jump.
+        The concatenated path is the history, then the controls, the
+        history's left limit and the control's start sharing the t = 0 slot;
+        the correction vectors restore the half-weights both one-sided
+        values carry in windows that straddle the jump.  Output i reads path
+        slots i .. i + n_tau.
 
-        With an anchor set, the nodes whose bits differ from the anchor
-        control are found as integers, so -0.0 and NaN payloads count as
-        changes.  If the first, lo, is past node 0, the anchor's habit is
-        copied and only outputs lo .. min(hi + n_tau, m) are recomputed, hi
-        being the last changed node: the same correlation over the matching
-        slice of the concatenated path (the history's tail and the shared
-        t = 0 slot included when lo <= n_tau), then the same corrections.
-        A change at node 0 moves the t = 0 slot and every correction, so it
-        correlates in full, as does the anchor control itself.
+        Without an anchor, or with one the control differs from at node 0
+        (which moves the t = 0 slot and every correction) or nowhere, lo = 0
+        and top = m + 1: the whole habit.  Otherwise lo is the first node
+        whose bits differ (as integers, so -0.0 and NaN payloads count),
+        top = min(hi + n_tau, m) + 1, hi being the last, and the outputs go
+        into a copy of the anchor's habit.
         """
-        hv = self.init.history.values
+        lo, top = 0, self.m + 1
         if self._anchor is not None:
             anchor, anchor_h = self._anchor
             changed = np.flatnonzero(controls.view(np.int64) != anchor.view(np.int64))
             if changed.size and changed[0] > 0:
                 lo = int(changed[0])
-                n_tau = self.n_tau
-                top = min(int(changed[-1]) + n_tau, self.m) + 1
-                if lo <= n_tau:
-                    cc = np.concatenate([hv[lo:-1], [self.hist_end + controls[0]], controls[1:top]])
-                else:
-                    cc = controls[lo - n_tau : top]
-                h = anchor_h.copy()
-                h[lo:top] = (
-                    np.correlate(cc, self.kerw, mode="valid")
-                    - self._vH[lo:top] * self.hist_end
-                    - self._vC[lo:top] * controls[0]
-                )
-                return h
-        cc = np.concatenate([hv[:-1], [self.hist_end + controls[0]], controls[1:]])
-        h = np.correlate(cc, self.kerw, mode="valid")
-        return h - self._vH * self.hist_end - self._vC * controls[0]
+                top = min(int(changed[-1]) + self.n_tau, self.m) + 1
+        hv = self.init.history.values
+        cc = np.concatenate([hv[:-1], [self.hist_end + controls[0]], controls[1:top]])
+        h = np.correlate(cc[lo:], self.kerw, mode="valid")
+        h -= self._vH[lo:top] * self.hist_end
+        h -= self._vC[lo:top] * controls[0]
+        if lo == 0:
+            return h
+        spliced = anchor_h.copy()
+        spliced[lo:top] = h
+        return spliced
 
     def capital(self, controls: np.ndarray) -> np.ndarray:
         """k(t) = e^{rt} (k0 - integral of e^{-ru} c(u) du), cumulative trapezoid."""
