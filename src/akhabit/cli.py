@@ -654,7 +654,10 @@ def _sweep_row(scn: Scenario, name: str, value: float, shared: dict):
 
     Within one sweep only the swept parameter changes (and with tau the
     history's memory length), so rows with the same (eps, eta, tau) have
-    the same kernel, history, grid, horizon and margin.
+    the same kernel, history, grid, horizon and margin.  ``shared`` holds
+    at most the last key's kernel: an eps, eta or tau sweep repeats a key
+    only where it repeats a value, and a c_m kept for every row is memory
+    no later row reads.
     """
     params, initial = scn.params, scn.initial
     if name == "k0":
@@ -669,6 +672,7 @@ def _sweep_row(scn: Scenario, name: str, value: float, shared: dict):
     key = (params.eps, params.eta, params.tau)
     report = run_pipeline(row_scn, kernel=shared.get(key))
     if key not in shared and report.feasibility_data is not None:
+        shared.clear()
         shared[key] = KernelResults(report.spectral, report.feasibility_data.cm)
     lam0 = report.spectral.get("lambda0", math.nan)
     Lam = report.closed_loop.get("Lambda", math.nan)

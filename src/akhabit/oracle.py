@@ -51,7 +51,6 @@ import operator
 import random
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -111,6 +110,13 @@ class DiscreteProblem:
 
     ``m`` steps on [0, T]; the step T/m must divide tau (the habit window
     must be a whole number of grid cells) and T must exceed tau.
+
+    The constant pieces of ``gradient`` are built with the grid, read-only:
+    ``excess_patterns`` is d excess[i+l] / d c_i for l = 0..n_tau, for a
+    generic node and for node 0, which sits at the history/control
+    breakpoint (halved influence on later habits, none on h_0);
+    ``terminal_sensitivity`` is dG_T/dc_i through k_T, h_T and the
+    terminal window.
 
     The problem remembers the last control it forward-simulated, keyed by
     the exact bytes of the float64 vector, with its habit and (once
@@ -172,40 +178,22 @@ class DiscreteProblem:
         self.wker[-1] *= 0.5
         self.q = habit_weight(params)
         self.b = r + params.eta
+
+        # gradient constants (see the class): dh_{i+l}/dc_i = kerw[n_tau - l]
+        # for i >= 1, and dh_m/dc_i = kerw[n_tau - (m - i)]
+        p_generic = -self.kerw[::-1]
+        p_generic[0] += 1.0
+        p0 = -0.5 * self.kbase[::-1]
+        p0[0] = 1.0
+        dG = der.kappa0 * (-dt * wt * np.exp(r * (T - self.t)))
+        dG[m - n_tau :] -= self.kerw / self.b
+        dG[m - n_tau :] += self.q * self.wker
+        _read_only(p_generic, p0, dG)
+        self.excess_patterns = (p_generic, p0)
+        self.terminal_sensitivity = dG
+
         self._last: _Forward | None = None
         self._anchor: tuple[np.ndarray, np.ndarray] | None = None
-
-    # -- constant pieces of the gradients ------------------------------------
-
-    @cached_property
-    def excess_patterns(self) -> tuple[np.ndarray, np.ndarray]:
-        """d excess[i+l] / d c_i for l = 0..n_tau: generic node, and node 0.
-
-        Coordinate 0 sits at the history/control breakpoint: it has halved
-        influence on later habits and none on h_0.
-        """
-        p_generic = -self.kerw[::-1]  # dh_{i+l}/dc_i = kerw[n_tau - l] for i >= 1
-        p_generic[0] += 1.0
-        sens0 = 0.5 * self.kbase[::-1]
-        sens0[0] = 0.0
-        p0 = -sens0
-        p0[0] += 1.0
-        _read_only(p_generic, p0)
-        return p_generic, p0
-
-    @cached_property
-    def terminal_sensitivity(self) -> np.ndarray:
-        """dG_T/dc_i through k_T, h_T and the terminal window (constant in c)."""
-        m = self.m
-        dk_T = -self.dt * self.wt * np.exp(self.params.r * (self.T - self.t))
-        tail = np.arange(m - self.n_tau, m + 1)
-        dh_T = np.zeros(m + 1)
-        dh_T[tail] = self.kerw[tail - (m - self.n_tau)]  # dh_m/dc_i = kerw[n_tau-(m-i)]
-        dW_T = np.zeros(m + 1)
-        dW_T[tail] = self.wker
-        dG = self.derived.kappa0 * dk_T - dh_T / self.b + self.q * dW_T
-        _read_only(dG)
-        return dG
 
     # -- forward pass -------------------------------------------------------
 
@@ -418,10 +406,8 @@ def project_feasible(problem: DiscreteProblem, controls: np.ndarray) -> np.ndarr
     scale = max(1.0, float(c.max()), problem.hist_absmax)
     margin = max(1e-12, 16 * (n_tau + 3) * np.finfo(float).eps) * scale
     slack = c - problem.habit(c)
-    if float(slack.min()) > margin:
-        return c
     tight = np.flatnonzero(slack <= margin)
-    if tight.size == 0:  # only NaN slacks are not above the margin
+    if tight.size == 0:  # every slack is above the margin, or NaN
         return c
     start = int(tight[0])
 

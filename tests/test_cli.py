@@ -629,6 +629,24 @@ class TestSharedKernel:
         assert shared == (tmp_path / "independent" / "sweep.csv").read_bytes()
         assert len(shared.splitlines()) == len(values) + 1
 
+    def test_sweep_keeps_one_kernel(self, tmp_path, capsys, monkeypatch):
+        # no eps value repeats, so no row reads an earlier row's kernel
+        import akhabit.cli as cli
+
+        row = cli._sweep_row
+        held = []
+
+        def recording(scn, name, value, shared):
+            out = row(scn, name, value, shared)
+            held.append(tuple(shared))
+            return out
+
+        monkeypatch.setattr(cli, "_sweep_row", recording)
+        values = [0.2, 0.3, 0.4, 0.5, 0.6, 0.7]
+        assert sweep(write_scenario(tmp_path), "eps", values, tmp_path / "out") == 0
+        assert [len(keys) for keys in held] == [1] * len(values)
+        assert len(set(held)) == len(values)
+
 
 class TestHorizonsAndLoader:
     @pytest.mark.parametrize("name", ["baseline", "low_curvature"])
