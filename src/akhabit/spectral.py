@@ -256,37 +256,33 @@ def count_zeros(
 ) -> int:
     """Zeros of a(lam) inside [re_lo, re_hi] x [-im_half, im_half] i.
 
-    Argument-principle winding of the boundary image (``_contour_values``):
-    the sum of consecutive samples' phase differences, each wrapped to
-    [-pi, pi], over 2 pi.  The discretization is doubled up to three times
-    if a sample is not finite or exactly zero, or the winding is not
-    integral within 1e-3.
+    Argument-principle winding of the boundary image (``_contour_values``),
+    evaluated once: the sum of consecutive samples' phase differences,
+    each wrapped to [-pi, pi], over 2 pi.  A sample that is not finite or
+    is exactly zero raises ``ContourError``.  Two facts make one
+    evaluation enough.  More samples cannot mend an unusable one: the
+    2n-point side grid contains the n-point grid bit for bit, so every
+    sample at n is taken again at 2n.  And the winding needs no
+    integrality test: on a closed contour the wrapped differences sum to
+    whole turns up to rounding, so it is rounded.
     """
-    winding = math.nan  # stays nan if every attempt has an unusable sample
-    for attempt in range(4):
-        n = points * 2**attempt
-        side = np.linspace(0.0, 1.0, n, endpoint=False)
-        buf = np.empty((5, 4 * n + 1))
-        _contour_values(params, re_lo, re_hi, im_half, side, buf)
-        if not np.isfinite(buf[:2]).all():
-            continue  # a sample overflowed
-        re, im = buf[0], buf[1]
-        zero = re == 0.0
-        if zero.any() and (im[zero] == 0.0).any():
-            continue  # a zero sits on a sample point; refine
-        phase = np.arctan2(im, re, out=buf[2])
-        step, turns = buf[3, :-1], buf[4, :-1]
-        np.subtract(phase[1:], phase[:-1], out=step)
-        np.rint(np.divide(step, 2.0 * math.pi, out=turns), out=turns)
-        turns *= 2.0 * math.pi
-        step -= turns
-        winding = float(step.sum() / (2.0 * math.pi))
-        if abs(winding - round(winding)) < 1e-3:
-            return int(round(winding))
-    raise ContourError(
-        f"winding number {winding:.6f} not integral after refinement "
-        f"(box [{re_lo:.4g},{re_hi:.4g}] x +-{im_half:.4g}i)"
-    )
+    side = np.linspace(0.0, 1.0, points, endpoint=False)
+    buf = np.empty((5, 4 * points + 1))
+    _contour_values(params, re_lo, re_hi, im_half, side, buf)
+    re, im = buf[0], buf[1]
+    zero = re == 0.0
+    if not np.isfinite(buf[:2]).all() or (zero.any() and (im[zero] == 0.0).any()):
+        raise ContourError(
+            f"a contour sample is zero or not finite "
+            f"(box [{re_lo:.4g},{re_hi:.4g}] x +-{im_half:.4g}i, {points} samples per side)"
+        )
+    phase = np.arctan2(im, re, out=buf[2])
+    step, turns = buf[3, :-1], buf[4, :-1]
+    np.subtract(phase[1:], phase[:-1], out=step)
+    np.rint(np.divide(step, 2.0 * math.pi, out=turns), out=turns)
+    turns *= 2.0 * math.pi
+    step -= turns
+    return round(float(step.sum() / (2.0 * math.pi)))
 
 
 @dataclass(frozen=True)
