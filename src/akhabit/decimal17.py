@@ -121,49 +121,37 @@ def _tables():
     c = _SPLIT * hi
     hi_hi = c - (c - hi)
 
-    # per layout, by the exponent X the mantissa is written at: the masks
-    # of the bytes taken from the digits and from their shifted copy, the
-    # literal bytes (sign, lead, point), where a positive value's text
-    # starts (a negative one's sign is the byte before), the integer
-    # digits, and the mantissa end less the digits kept
-    layouts = range(_FIXED[0], _FIXED[1] + 1)
-    head, tail, literals = (np.zeros((len(layouts), WIDTH), dtype=np.uint8) for _ in range(3))
-    starts, int_digits, end_base = [], [], []
-    for k, X in enumerate(layouts):
-        if X >= 0:
-            head[k, _DIGITS : _DIGITS + X + 1] = 0xFF
-            tail[k, _DIGITS + X + 2 : _DIGITS + 18] = 0xFF
-            literals[k, _DIGITS + X + 1] = ord(".")
+    # per key: the exponent X the mantissa is written at (E, or 0 before a
+    # suffix), its integer digits, and by its trailing zeros the digits kept
+    # and the mantissa's end, past the point only when a fraction digit is kept
+    fixed = (E >= _FIXED[0]) & (E <= _FIXED[1])
+    X = np.where(fixed, E, 0)
+    int_digits = np.maximum(X + 1, 0)[:, None]
+    kept = np.maximum(17 - np.arange(_TZ), int_digits)
+    end = kept + _DIGITS + (X >= 0)[:, None] - (kept == int_digits)
+    # then per key: the masks of the bytes taken from the digits and from
+    # their shifted copy; the literal bytes (sign, lead, point, and after 17
+    # digits the suffix and separator); the keep rows, a text starting at the
+    # lead (a negative one at the sign before it); and the last column's '\n'
+    # for the ',' as a change to the last word
+    head, tail, literals = (np.zeros((len(E), WIDTH), dtype=np.uint8) for _ in range(3))
+    code = np.empty(end.shape, dtype=np.int64)
+    newline = np.zeros(len(E), dtype=np.uint64)
+    for k, (e, x, first) in enumerate(zip(E.tolist(), X.tolist(), end[:, 0].tolist())):
+        if x >= 0:
+            head[k, _DIGITS : _DIGITS + x + 1] = 0xFF
+            tail[k, _DIGITS + x + 2 : _DIGITS + 18] = 0xFF
+            literals[k, _DIGITS + x + 1] = ord(".")
             lead = _DIGITS
-            int_digits.append(X + 1)
-            end_base.append(_DIGITS + 1)
         else:
             head[k, _DIGITS : _DIGITS + 17] = 0xFF
-            lead = _DIGITS + X - 1
-            literals[k, lead:_DIGITS] = np.frombuffer(b"0." + b"0" * (-X - 1), dtype=np.uint8)
-            int_digits.append(0)
-            end_base.append(_DIGITS)
+            lead = _DIGITS + x - 1
+            literals[k, lead:_DIGITS] = np.frombuffer(b"0." + b"0" * (-x - 1), dtype=np.uint8)
         literals[k, lead - 1] = ord("-")
-        starts.append(lead)
-    # per key: the layout; the mantissa's end by its trailing zeros, past
-    # the point only when a fraction digit is kept; and, after the end of
-    # 17 digits, the exponent suffix and the separator
-    fixed = (E >= _FIXED[0]) & (E <= _FIXED[1])
-    layout = np.where(fixed, E, 0) - _FIXED[0]
-    literals = literals[layout]
-    tz = np.arange(_TZ)
-    digits_in = np.array(int_digits)[layout, None]
-    kept = np.maximum(17 - tz, digits_in)
-    end = kept + np.array(end_base)[layout, None] - (kept == digits_in)
-    tails, newline = [], np.zeros(len(E), dtype=np.uint64)
-    for k, (e, first) in enumerate(zip(E, end[:, 0])):
         text = (b"" if fixed[k] else f"e{e:+03d}".encode()) + b","
         literals[k, first : first + len(text)] = np.frombuffer(text, dtype=np.uint8)
-        tails.append(_TAILS.index((first, first + len(text))))
-        # the last column's '\n' for the ',', as a change to the last word
+        code[k] = _keep_code(lead, end[k], _TAILS.index((first, first + len(text))))
         newline[k] = (ord(",") ^ ord("\n")) << 8 * (first + len(text) - 1 - 8 * (_WORDS - 1))
-    # code[key, tz]: the keep row of a positive value with tz trailing zeros
-    code = _keep_code(np.array(starts)[layout, None], end, np.array(tails)[:, None])
     del kept, end
 
     # the 4-digit groups as the bytes they are written as, and their trailing zeros
@@ -193,8 +181,8 @@ def _tables():
         "high": low << 32,
         "trailing": trailing,
         "code": code,
-        "head": words(head[layout]).T,
-        "tail": words(tail[layout]).T,
+        "head": words(head).T,
+        "tail": words(tail).T,
         "literals": words(literals),
         "newline": newline,
         "keep": words(keep),

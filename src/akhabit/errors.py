@@ -43,7 +43,7 @@ class InconsistencyError(AkHabitError):
 
 
 class ContourError(AkHabitError):
-    """Contour winding number failed to converge to an integer."""
+    """A contour sample of the characteristic function is zero or not finite."""
 
     code = "spectral:contour"
 

@@ -72,7 +72,8 @@ def _u(excess, gamma):
 def grid_cells(tau: float, T: float, m: int) -> int:
     """Grid cells per memory length on ``m`` steps over [0, T].
 
-    Raises DomainError unless the step T/m divides tau and T exceeds tau.
+    Raises DomainError unless the step T/m divides tau into at least two
+    cells (the history needs three samples) and T exceeds tau.
     """
     if not T > tau:
         raise DomainError(
@@ -88,6 +89,8 @@ def grid_cells(tau: float, T: float, m: int) -> int:
     n_tau = int(round(n_tau))
     if m <= n_tau:
         raise DomainError("horizon must exceed one memory length", code="domain:grid")
+    if n_tau < 2:
+        raise DomainError(f"grid step T/m = {dt:.6g} is more than half of tau = {tau:.6g}", code="domain:grid")
     return n_tau
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from akhabit import CoarseGridError, ConstraintError, HistoryGrid, InitialState, ModelParams
-from akhabit.cli import MAX_COUNT, MAX_NODES, Numerics, Scenario, load_scenario, sweep
+from akhabit.cli import MAX_COUNT, MAX_NODES, Numerics, Scenario, load_scenario, run, sweep
 from akhabit.simulate import initial_capital_threshold, simulate_integral_form
 from test_error_contract import outcome, run_and_sweep, scenario
 
@@ -106,6 +106,15 @@ def test_load_time_grid_rule_prevents_coarse_grid_error():
         except ConstraintError as exc:
             # a path this coarse may break c >= h, but only after its first step
             assert exc.t > 0.0
+
+
+def test_oracle_grid_under_two_cells_per_tau_is_exit_3(tmp_path):
+    # oracle step T/m = tau: the oracle's history on [-tau, 0] would hold 2 samples
+    path = scenario(tmp_path, numerics={"oracle": True, "oracle_horizon": 2.0, "oracle_m": 2})
+    results = (*run_and_sweep(tmp_path, path), outcome(run, path, tmp_path / "no-oracle", no_oracle=True))
+    for code, last, _ in results:
+        assert code == 3
+        assert last.startswith("RESULT error parse:scenario")
 
 
 # -- README against the schema ------------------------------------------------------
